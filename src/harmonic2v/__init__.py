@@ -10,19 +10,10 @@ from .errors import (
     NotDoubleHarmonic,
     PolySyntaxError,
     VariableOutOfRange,
-    ZeroDenominator,
     ZeroNormalizer,
 )
 from .rationals import GaussianRational, falling, rising
 from .poly import Monomial, Polynomial, variables
-from .operators import (
-    ATOM_SHIFT,
-    AtomKind,
-    EulerRational,
-    LinearOperator,
-    apply_atom,
-    commutator_check,
-)
 from .transvector import (
     GENERATOR_SHIFT,
     GeneratorTag,

@@ -22,6 +22,19 @@ from .suites import SUITE_NAMES, run_suite
 SCHEMA = "harmonic2v/1"
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, rejected as a usage error otherwise."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
+    return parse
+
+
 def _load_poly(args, m: int) -> Polynomial:
     if getattr(args, "poly", None) is not None:
         text = args.poly
@@ -119,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     dec = sub.add_parser("decompose", help="decompose into irreducible components")
-    dec.add_argument("--m", type=int, required=True, help="ambient dimension (> 4)")
+    dec.add_argument("--m", type=_int_at_least(1), required=True, help="ambient dimension (> 4)")
     group = dec.add_mutually_exclusive_group(required=True)
     group.add_argument("--poly", help="polynomial expression")
     group.add_argument("--poly-file", help="file containing the expression")
@@ -128,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.set_defaults(fn=cmd_decompose)
 
     integ = sub.add_parser("integrate", help="integrate over V_2(R^m) or S^(m-1)")
-    integ.add_argument("--m", type=int, required=True)
+    integ.add_argument("--m", type=_int_at_least(1), required=True)
     group = integ.add_mutually_exclusive_group(required=True)
     group.add_argument("--poly", help="polynomial expression")
     group.add_argument("--poly-file", help="file containing the expression")
@@ -139,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    ver.add_argument("--m", type=int, default=5)
-    ver.add_argument("--max-bidegree", type=int, default=3)
+    ver.add_argument("--m", type=_int_at_least(1), default=5)
+    ver.add_argument("--max-bidegree", type=_int_at_least(0), default=3)
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(fn=cmd_verify)
     return parser

@@ -18,8 +18,8 @@ from math import factorial
 from typing import Dict, List, Tuple
 
 from .errors import IndexOutOfRange, ZeroNormalizer
-from .fischer import double_fischer
-from .operators import cross_dd, mul_normsq_u, mul_normsq_x, skew_ux, skew_xu
+from .fischer import double_fischer, mul_norm_powers
+from .operators import cross_dd, skew_ux, skew_xu
 from .poly import Polynomial
 from .rationals import GAUSSIAN_I, falling, rising
 from .transvector import (
@@ -27,8 +27,11 @@ from .transvector import (
     _apply_generator_unchecked,
     _check_double_harmonic,
     _require_theory_dimension,
+    chain,
     is_double_harmonic,
 )
+
+_A, _C, _S_X, _S_U = GeneratorTag.A, GeneratorTag.C, GeneratorTag.S_X, GeneratorTag.S_U
 
 
 # -- highest weight vectors ------------------------------------------------------
@@ -180,13 +183,8 @@ class SimplicialComponent:
     mirrored: bool = False
 
     def embedded(self) -> Polynomial:
-        step = GeneratorTag.S_X if self.mirrored else GeneratorTag.S_U
-        q = self.harmonic
-        for _ in range(self.index.j):
-            q = _apply_generator_unchecked(step, q)
-        for _ in range(self.index.i):
-            q = _apply_generator_unchecked(GeneratorTag.C, q)
-        return q
+        step = _S_X if self.mirrored else _S_U
+        return chain(self.harmonic, (_C,) * self.index.i + (step,) * self.index.j)
 
 
 def is_simplicial(p: Polynomial, mirrored: bool = False) -> bool:
@@ -218,15 +216,11 @@ def _master_projection_dominant(part: Polynomial) -> Polynomial:
         r = sx_pow
         i = 0
         while not r.is_zero():
-            term = r
-            for _ in range(j):
-                term = _apply_generator_unchecked(GeneratorTag.S_U, term)
-            for _ in range(i):
-                term = _apply_generator_unchecked(GeneratorTag.C, term)
+            term = chain(r, (_C,) * i + (_S_U,) * j)
             total = total + term.scaled(projection_weight(i, j, k, l, m))
-            r = _apply_generator_unchecked(GeneratorTag.A, r)
+            r = _apply_generator_unchecked(_A, r)
             i += 1
-        sx_pow = _apply_generator_unchecked(GeneratorTag.S_X, sx_pow)
+        sx_pow = _apply_generator_unchecked(_S_X, sx_pow)
         j += 1
     return total
 
@@ -264,11 +258,7 @@ def project_component(p: Polynomial, i: int, j: int) -> SimplicialComponent:
     norm = ladder_alpha(i, j, i, j, tk, tl, p.m)
     if not norm:
         raise ZeroNormalizer(f"component ({i},{j}) is absent at target ({tk},{tl})")
-    w = p
-    for _ in range(j):
-        w = _apply_generator_unchecked(GeneratorTag.S_X, w)
-    for _ in range(i):
-        w = _apply_generator_unchecked(GeneratorTag.A, w)
+    w = chain(p, (_A,) * i + (_S_X,) * j)
     h = _master_projection_dominant(w) if not w.is_zero() else w
     return SimplicialComponent(LadderIndex(i, j, tk, tl), h.scaled(1 / norm))
 
@@ -305,11 +295,7 @@ def _decompose_dominant_sequential(part: Polynomial) -> List[SimplicialComponent
     for i, j in cells:
         if residual.is_zero():
             break
-        w = residual
-        for _ in range(j):
-            w = _apply_generator_unchecked(GeneratorTag.S_X, w)
-        for _ in range(i):
-            w = _apply_generator_unchecked(GeneratorTag.A, w)
+        w = chain(residual, (_A,) * i + (_S_X,) * j)
         if w.is_zero():
             continue
         tk, tl = k - i + j, l - i - j
@@ -353,12 +339,7 @@ class DecompositionEntry:
     component: SimplicialComponent
 
     def embedded(self) -> Polynomial:
-        q = self.component.embedded()
-        for _ in range(self.a):
-            q = mul_normsq_x(q)
-        for _ in range(self.b):
-            q = mul_normsq_u(q)
-        return q
+        return mul_norm_powers(self.component.embedded(), self.a, self.b)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,6 @@ class DimensionMismatch(ValueError):
     """Operands live over different ambient dimensions m."""
 
 
-class ZeroDenominator(ArithmeticError):
-    """An Euler-rational scaling hit a pole at some bidegree."""
-
-    def __init__(self, bidegree, message=None):
-        self.bidegree = bidegree
-        super().__init__(message or f"Euler-rational denominator vanishes at bidegree {bidegree}")
-
-
 class NotDoubleHarmonic(ValueError):
     """Input is not annihilated by both Laplacians."""
 

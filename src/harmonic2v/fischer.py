@@ -17,7 +17,12 @@ from .errors import DimensionMismatch
 from .operators import laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x
 from .poly import Polynomial
 from .rationals import GaussianRational, rising
-from .transvector import extremal_projection_s, extremal_projection_u, extremal_projection_x
+from .transvector import chain, extremal_projection_s, extremal_projection_u, extremal_projection_x
+
+
+def mul_norm_powers(p: Polynomial, a: int, b: int) -> Polynomial:
+    """|x|^{2a} |u|^{2b} p."""
+    return chain(p, (mul_normsq_u,) * b + (mul_normsq_x,) * a)
 
 
 @dataclass(frozen=True)
@@ -29,12 +34,7 @@ class DoubleFischerComponent:
     part: Polynomial
 
     def embedded(self) -> Polynomial:
-        q = self.part
-        for _ in range(self.i):
-            q = mul_normsq_x(q)
-        for _ in range(self.j):
-            q = mul_normsq_u(q)
-        return q
+        return mul_norm_powers(self.part, self.i, self.j)
 
 
 def sphere_fischer_project(p: Polynomial, s: int, axis: str = "x") -> Polynomial:
@@ -54,30 +54,19 @@ def sphere_fischer_project(p: Polynomial, s: int, axis: str = "x") -> Polynomial
     mul_norm = mul_normsq_x if axis == "x" else mul_normsq_u
     pi = extremal_projection_x if axis == "x" else extremal_projection_u
 
-    q = p
-    for _ in range(s):
-        q = lap(q)
-        if q.is_zero():
-            return Polynomial.zero(p.m)
+    q = chain(p, (lap,) * s)
+    if q.is_zero():
+        return q
     # Gamma(E + m/2 - 2s) / Gamma(E + m/2 - s) at the (degree-neutral) image.
     scale = Fraction(1, 4**s * factorial(s)) / rising(Fraction(k) + Fraction(p.m, 2) - 2 * s, s)
-    out = pi(q)
-    for _ in range(s):
-        out = mul_norm(out)
-    return out.scaled(scale)
+    return chain(pi(q), (mul_norm,) * s).scaled(scale)
 
 
 def _pi_ij(p: Polynomial, i: int, j: int) -> Polynomial:
     """Double-harmonic projection factor of the (i, j) layer (no norm powers)."""
-    q = p
-    for _ in range(i):
-        q = laplacian_x(q)
-        if q.is_zero():
-            return q
-    for _ in range(j):
-        q = laplacian_u(q)
-        if q.is_zero():
-            return q
+    q = chain(p, (laplacian_u,) * j + (laplacian_x,) * i)
+    if q.is_zero():
+        return q
     k, l = p.bidegree()
     m = p.m
     scale = Fraction(1, 4 ** (i + j) * factorial(i) * factorial(j))

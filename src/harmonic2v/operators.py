@@ -1,52 +1,14 @@
-"""Composable linear operators on polynomial space.
+"""The rotation-invariant atoms on polynomial space.
 
-The atoms are the rotation-invariant building blocks (Laplacians, norm and
-inner-product multipliers, skew operators, Euler operators).  A
-``LinearOperator`` is a sum of terms ``scale * atom_chain`` where the scale is
-a rational function of the Euler eigenvalues (E_x, E_u).
-
-Fraction semantics: applying a term first applies the atom chain (rightmost
-atom first) and then evaluates the scale at the bidegree of the intermediate
-result.  Writing a fraction A/B therefore means B^{-1} A.
+Laplacians, norm and inner-product multipliers, and the two skew operators.
+Each atom maps a polynomial to a new one term by term; on bihomogeneous input
+it shifts the bidegree by a fixed amount (Delta_x by (-2, 0), |x|^2 by (2, 0),
+<u, x> by (1, 1), <d_u, d_x> by (-1, -1), <u, d_x> by (-1, 1), and so on).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-from .errors import DimensionMismatch, ZeroDenominator
 from .poly import Polynomial, RawTerms
-
-
-class AtomKind(Enum):
-    LAPLACIAN_X = "laplacian_x"
-    LAPLACIAN_U = "laplacian_u"
-    NORMSQ_X = "normsq_x"
-    NORMSQ_U = "normsq_u"
-    INNER_UX = "inner_ux"
-    CROSS_DD = "cross_dd"
-    SKEW_UX = "skew_ux"
-    SKEW_XU = "skew_xu"
-    EULER_X = "euler_x"
-    EULER_U = "euler_u"
-
-
-#: Bidegree shift (dk, dl) of each atom on bihomogeneous input.
-ATOM_SHIFT: Dict[AtomKind, Tuple[int, int]] = {
-    AtomKind.LAPLACIAN_X: (-2, 0),
-    AtomKind.LAPLACIAN_U: (0, -2),
-    AtomKind.NORMSQ_X: (2, 0),
-    AtomKind.NORMSQ_U: (0, 2),
-    AtomKind.INNER_UX: (1, 1),
-    AtomKind.CROSS_DD: (-1, -1),
-    AtomKind.SKEW_UX: (-1, 1),
-    AtomKind.SKEW_XU: (1, -1),
-    AtomKind.EULER_X: (0, 0),
-    AtomKind.EULER_U: (0, 0),
-}
 
 
 def laplacian_x(p: Polynomial) -> Polynomial:
@@ -164,238 +126,3 @@ def skew_xu(p: Polynomial) -> Polynomial:
                 cur = get(ne)
                 out[ne] = (a * k, b * k) if cur is None else (cur[0] + a * k, cur[1] + b * k)
     return Polynomial._raw(m, out, p._den)
-
-
-def euler_x(p: Polynomial) -> Polynomial:
-    m = p.m
-    out: RawTerms = {}
-    for e, (a, b) in p._terms.items():
-        k = sum(e[:m])
-        if k:
-            out[e] = (a * k, b * k)
-    return Polynomial._raw(m, out, p._den)
-
-
-def euler_u(p: Polynomial) -> Polynomial:
-    m = p.m
-    out: RawTerms = {}
-    for e, (a, b) in p._terms.items():
-        k = sum(e[m:])
-        if k:
-            out[e] = (a * k, b * k)
-    return Polynomial._raw(m, out, p._den)
-
-
-_ATOM_FUNC = {
-    AtomKind.LAPLACIAN_X: laplacian_x,
-    AtomKind.LAPLACIAN_U: laplacian_u,
-    AtomKind.NORMSQ_X: mul_normsq_x,
-    AtomKind.NORMSQ_U: mul_normsq_u,
-    AtomKind.INNER_UX: mul_inner_ux,
-    AtomKind.CROSS_DD: cross_dd,
-    AtomKind.SKEW_UX: skew_ux,
-    AtomKind.SKEW_XU: skew_xu,
-    AtomKind.EULER_X: euler_x,
-    AtomKind.EULER_U: euler_u,
-}
-
-
-def apply_atom(kind: AtomKind, p: Polynomial) -> Polynomial:
-    return _ATOM_FUNC[kind](p)
-
-
-# -- rational functions of the Euler eigenvalues ------------------------------
-
-BivarPoly = Dict[Tuple[int, int], Fraction]
-
-
-def _bp_mul(a: BivarPoly, b: BivarPoly) -> BivarPoly:
-    out: BivarPoly = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v}
-
-
-def _bp_add(a: BivarPoly, b: BivarPoly) -> BivarPoly:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _bp_eval(a: BivarPoly, k: Fraction, l: Fraction) -> Fraction:
-    total = Fraction(0)
-    for (i, j), c in a.items():
-        total += c * k**i * l**j
-    return total
-
-
-def _bp_shift(a: BivarPoly, dx: int, du: int) -> BivarPoly:
-    """Substitute E_x -> E_x + dx, E_u -> E_u + du."""
-    out: BivarPoly = {}
-    ex = {(1, 0): Fraction(1), (0, 0): Fraction(dx)}
-    eu = {(0, 1): Fraction(1), (0, 0): Fraction(du)}
-    for (i, j), c in a.items():
-        term: BivarPoly = {(0, 0): c}
-        for _ in range(i):
-            term = _bp_mul(term, ex)
-        for _ in range(j):
-            term = _bp_mul(term, eu)
-        out = _bp_add(out, term)
-    return out
-
-
-class EulerRational:
-    """A quotient of polynomials in the formal Euler eigenvalues (E_x, E_u)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: BivarPoly, den: BivarPoly):
-        if not den:
-            raise ZeroDivisionError("identically zero denominator")
-        self.num = {k: Fraction(v) for k, v in num.items() if v}
-        self.den = {k: Fraction(v) for k, v in den.items() if v}
-
-    @staticmethod
-    def constant(value) -> "EulerRational":
-        q = Fraction(value)
-        return EulerRational({(0, 0): q} if q else {}, {(0, 0): Fraction(1)})
-
-    @staticmethod
-    def euler_x() -> "EulerRational":
-        return EulerRational({(1, 0): Fraction(1)}, {(0, 0): Fraction(1)})
-
-    @staticmethod
-    def euler_u() -> "EulerRational":
-        return EulerRational({(0, 1): Fraction(1)}, {(0, 0): Fraction(1)})
-
-    @staticmethod
-    def of(value) -> "EulerRational":
-        if isinstance(value, EulerRational):
-            return value
-        return EulerRational.constant(value)
-
-    def evaluate(self, k: int, l: int) -> Fraction:
-        """Evaluate at the bidegree (k, l); raises ZeroDenominator on a pole."""
-        d = _bp_eval(self.den, Fraction(k), Fraction(l))
-        if not d:
-            raise ZeroDenominator((k, l))
-        return _bp_eval(self.num, Fraction(k), Fraction(l)) / d
-
-    def shifted(self, dx: int, du: int) -> "EulerRational":
-        return EulerRational(_bp_shift(self.num, dx, du), _bp_shift(self.den, dx, du))
-
-    def __mul__(self, other):
-        other = EulerRational.of(other)
-        return EulerRational(_bp_mul(self.num, other.num), _bp_mul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = EulerRational.of(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero Euler rational")
-        return EulerRational(_bp_mul(self.num, other.den), _bp_mul(self.den, other.num))
-
-    def __add__(self, other):
-        other = EulerRational.of(other)
-        return EulerRational(
-            _bp_add(_bp_mul(self.num, other.den), _bp_mul(other.num, self.den)),
-            _bp_mul(self.den, other.den),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EulerRational({k: -v for k, v in self.num.items()}, self.den)
-
-    def __sub__(self, other):
-        return self + (-EulerRational.of(other))
-
-    def __eq__(self, other):
-        if not isinstance(other, EulerRational):
-            return NotImplemented
-        return _bp_mul(self.num, other.den) == _bp_mul(other.num, self.den)
-
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """A finite sum of scale * atom-chain terms over a fixed ambient dimension."""
-
-    m: int
-    terms: Tuple[Tuple[EulerRational, Tuple[AtomKind, ...]], ...]
-
-    @staticmethod
-    def identity(m: int) -> "LinearOperator":
-        return LinearOperator(m, ((EulerRational.constant(1), ()),))
-
-    @staticmethod
-    def atom(m: int, kind: AtomKind) -> "LinearOperator":
-        return LinearOperator(m, ((EulerRational.constant(1), (kind,)),))
-
-    @staticmethod
-    def from_terms(m: int, terms: Iterable[Tuple[object, Sequence[AtomKind]]]) -> "LinearOperator":
-        packed = tuple((EulerRational.of(s), tuple(atoms)) for s, atoms in terms)
-        return LinearOperator(m, packed)
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        if p.m != self.m:
-            raise DimensionMismatch(f"operator over m={self.m} applied to m={p.m}")
-        total = Polynomial.zero(self.m)
-        for part in p.bidegree_split().values():
-            for scale, atoms in self.terms:
-                q = part
-                for kind in reversed(atoms):
-                    q = _ATOM_FUNC[kind](q)
-                    if q.is_zero():
-                        break
-                if q.is_zero():
-                    continue
-                k, l = q.bidegree()
-                total = total + q.scaled(scale.evaluate(k, l))
-        return total
-
-    def compose(self, other: "LinearOperator") -> "LinearOperator":
-        """Operator with apply(self.compose(other), p) == self(other(p))."""
-        if self.m != other.m:
-            raise DimensionMismatch("composing operators over different m")
-        out: List[Tuple[EulerRational, Tuple[AtomKind, ...]]] = []
-        for sa, aa in self.terms:
-            dk = sum(ATOM_SHIFT[k][0] for k in aa)
-            dl = sum(ATOM_SHIFT[k][1] for k in aa)
-            for sb, ab in other.terms:
-                out.append((sa * sb.shifted(-dk, -dl), aa + ab))
-        return LinearOperator(self.m, tuple(out))
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        if self.m != other.m:
-            raise DimensionMismatch("adding operators over different m")
-        return LinearOperator(self.m, self.terms + other.terms)
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        return self + (-other)
-
-    def __neg__(self) -> "LinearOperator":
-        return LinearOperator(self.m, tuple((-s, a) for s, a in self.terms))
-
-    def __mul__(self, scalar) -> "LinearOperator":
-        s0 = EulerRational.of(scalar)
-        return LinearOperator(self.m, tuple((s0 * s, a) for s, a in self.terms))
-
-    __rmul__ = __mul__
-
-
-def commutator_check(
-    a: LinearOperator,
-    b: LinearOperator,
-    rhs: LinearOperator,
-    samples: Sequence[Polynomial],
-) -> bool:
-    """True iff (ab - ba - rhs) annihilates every sample exactly."""
-    for p in samples:
-        lhs = a.apply(b.apply(p)) - b.apply(a.apply(p)) - rhs.apply(p)
-        if not lhs.is_zero():
-            return False
-    return True

@@ -127,6 +127,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, m: int, value) -> "Polynomial":
+        if m < 1:
+            raise DimensionMismatch(f"ambient dimension must be >= 1, got {m}")
         zero_exp = (0,) * (2 * m)
         c = GaussianRational.of(value)
         den = c.re.denominator * c.im.denominator // gcd(c.re.denominator, c.im.denominator)

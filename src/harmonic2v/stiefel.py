@@ -22,7 +22,7 @@ from .fischer import _pi_ij
 from .operators import cross_dd, laplacian_x, mul_inner_ux, mul_normsq_u, mul_normsq_x
 from .poly import Polynomial
 from .rationals import GaussianRational, rising, rising_ext
-from .transvector import _require_theory_dimension
+from .transvector import _require_theory_dimension, chain
 
 
 @dataclass(frozen=True)
@@ -168,9 +168,7 @@ def _stiefel_exact_part(part: Polynomial) -> GaussianRational:
             layer = _pi_ij(part, jx, ju)
             if layer.is_zero():
                 continue
-            w = layer
-            for _ in range(2 * i):
-                w = cross_dd(w)
+            w = chain(layer, (cross_dd,) * (2 * i))
             total = total + w.constant_term() * gamma_constant(i, part.m)
     return total
 

@@ -1,7 +1,7 @@
 """Extremal projections onto harmonics and the four transvector generators.
 
 The generators S_x, S_u, A, C are endomorphisms of the double harmonics
-ker(Delta_x, Delta_u).  All Euler-rational scalings follow the
+ker(Delta_x, Delta_u).  All bidegree-dependent scalings follow the
 B^{-1} A convention: denominators are evaluated at the bidegree of the image
 of the operator monomial they accompany.
 """
@@ -85,10 +85,7 @@ def _pi_axis(part: Polynomial, axis: str) -> Polynomial:
         if q.is_zero():
             break
         coeff /= 4 * j * (h + 1 + j)
-        s = q
-        for _ in range(j):
-            s = mul_norm(s)
-        total = total + s.scaled(coeff)
+        total = total + chain(q, (mul_norm,) * j).scaled(coeff)
     return total
 
 
@@ -167,17 +164,25 @@ def apply_generator(tag: GeneratorTag, p: Polynomial) -> Polynomial:
     return _apply_generator_unchecked(tag, p)
 
 
+def chain(p: Polynomial, steps: Sequence) -> Polynomial:
+    """Apply steps rightmost first, stopping at the first zero image.
+
+    A step is an atom function or a ``GeneratorTag``; tags dispatch through
+    ``_apply_generator_unchecked``, so no domain check is made here.
+    """
+    for step in reversed(steps):
+        if p.is_zero():
+            break
+        p = _apply_generator_unchecked(step, p) if isinstance(step, GeneratorTag) else step(p)
+    return p
+
+
 def generator_chain(p: Polynomial, tags: Sequence[GeneratorTag]) -> Polynomial:
     """Apply a chain of generators, rightmost tag first (domain checked once)."""
     _require_theory_dimension(p.m)
     if not p.is_zero():
         _check_double_harmonic(p)
-    q = p
-    for tag in reversed(tags):
-        if q.is_zero():
-            return q
-        q = _apply_generator_unchecked(tag, q)
-    return q
+    return chain(p, tags)
 
 
 # -- quadratic relations --------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,12 @@ def test_cli_verify_relations(capsys):
     assert code == 0 and out["passed"] is True
 
 
+def test_cli_verify_relations_rejects_small_dimension(capsys):
+    # at m = 1 no nonzero double harmonic has x- or u-degree >= 2, so sampling would never end
+    assert main(["verify", "--suite", "relations", "--m", "1"]) == 2
+    assert "m > 4" in capsys.readouterr().err
+
+
 def test_cli_verify_ladder_vacuous(capsys):
     code = main(["verify", "--suite", "ladder", "--m", "5", "--max-bidegree", "0"])
     out = json.loads(capsys.readouterr().out)
@@ -204,3 +211,50 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["decompose", "--m", "5"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--m", "0", "--poly", "1", "--manifold", "sphere"],
+        ["verify", "--suite", "orthogonality", "--max-bidegree", "-1"],
+        ["verify", "--suite", "pizzetti", "--max-bidegree", "-1"],
+        ["verify", "--suite", "relations", "--m", "0"],
+    ],
+)
+def test_cli_rejects_out_of_range_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "factorial()" not in stderr and "randrange()" not in stderr
+
+
+# -- byte-stable output -----------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("decompose_x1u1_m5", ["decompose", "--m", "5", "--poly", "x1*u1"]),
+        ("integrate_x1sq_m5", ["integrate", "--m", "5", "--poly", "x1^2"]),
+        ("integrate_sphere_one_m4", ["integrate", "--m", "4", "--poly", "1", "--manifold", "sphere"]),
+        ("verify_relations_m6", ["verify", "--suite", "relations", "--m", "6"]),
+        (
+            "decompose_mirrored_m5",
+            ["decompose", "--m", "5", "--poly", "x1*u2^2 - 2/3*x2*u1*u3 + i*u1^3"],
+        ),
+        (
+            "decompose_sequential_m6",
+            [
+                "decompose", "--m", "6", "--poly", "x1^2*u1^2 - u1*x2 + 3*x1*x2*u3^2",
+                "--strategy", "sequential",
+            ],
+        ),
+    ],
+)
+def test_cli_stdout_matches_golden(name, argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -14,7 +14,7 @@ from harmonic2v import (
 )
 from harmonic2v.operators import laplacian_u, laplacian_x, mul_normsq_u
 from harmonic2v.sampling import random_double_harmonic, random_polynomial
-from harmonic2v.transvector import generator_chain, is_double_harmonic
+from harmonic2v.transvector import chain, generator_chain, is_double_harmonic
 
 from conftest import inner_ux, normsq_x, one, poly
 
@@ -88,6 +88,17 @@ def test_generator_examples():
     assert apply_generator(GeneratorTag.C, one(m)) == inner_ux(m)
     c1 = apply_generator(GeneratorTag.C, one(6))
     assert apply_generator(GeneratorTag.A, c1) == Polynomial.constant(6, 6)
+
+
+def test_chain_mixes_atoms_and_generators_rightmost_first():
+    m = 5
+    # C[1] = <u,x>; then |u|^2 gives |u|^2 <u,x>
+    assert chain(one(m), (mul_normsq_u, GeneratorTag.C)) == mul_normsq_u(inner_ux(m))
+
+    def never(p):
+        raise AssertionError("step applied after a zero image")
+
+    assert chain(poly("u1", m), (never, laplacian_x)).is_zero()
 
 
 def test_generator_rejects_non_double_harmonic():
