@@ -1,8 +1,8 @@
 """Command-line interface: decompose, integrate, verify.
 
 Output is deterministic JSON (sorted keys, rationals as strings); exit codes
-are 0 on success, 1 when a verification suite fails, 2 on usage or parse
-errors.
+are 0 on success, 1 when a verification suite fails, 2 on usage, parse or
+arithmetic errors (such as a vanishing normalizer).
 """
 
 from __future__ import annotations
@@ -164,7 +164,9 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (PolySyntaxError, VariableOutOfRange, FileNotFoundError, ValueError) as exc:
+    except (
+        PolySyntaxError, VariableOutOfRange, FileNotFoundError, ValueError, ArithmeticError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import IndexOutOfRange, ZeroNormalizer
 from .fischer import double_fischer, mul_norm_powers
@@ -200,29 +200,53 @@ def is_simplicial(p: Polynomial, mirrored: bool = False) -> bool:
 # -- master projection ------------------------------------------------------------
 
 
+def _nested_sum(step: GeneratorTag, coeffs: List[Optional[Polynomial]]) -> Optional[Polynomial]:
+    """Horner form of sum_n step^n coeffs[n]: acc <- step(acc) + coeffs[n], n descending.
+
+    ``None`` marks an absent coefficient; the result is ``None`` when the sum
+    is zero.  Each generator step is applied once to the running sum.
+    """
+    acc = None
+    for c in reversed(coeffs):
+        if acc is not None:
+            acc = _apply_generator_unchecked(step, acc)
+            if acc.is_zero():
+                acc = None
+        if c is not None and not c.is_zero():
+            acc = c if acc is None else acc + c
+    return acc
+
+
 def _master_projection_dominant(part: Polynomial) -> Polynomial:
     """Cell (0,0) projection of a bihomogeneous double harmonic with k >= l.
 
-    The double series runs over all (i, j) with a surviving operator term;
-    cells of the operand satisfy i + j <= l, so iteration stops at the first
-    annihilated chain.
+    The double series sum_{i,j} w_ij C^i S_u^j A^i S_x^j part is evaluated
+    nested, as sum_i C^i (sum_j S_u^j (w_ij A^i S_x^j part)), innermost sums
+    first.  Every partial sum is bihomogeneous (for fixed i the j-sum from j
+    upward has bidegree (k-i+j, l-i-j)), so the bidegree-dependent scalings of
+    S_u and C apply to it exactly.  Cells of the operand satisfy i + j <= l,
+    so the operands A^i S_x^j part stop at the first annihilated chain.
     """
     m = part.m
     k, l = part.bidegree()
-    total = Polynomial.zero(m)
+    rows: List[List[Polynomial]] = []  # rows[j][i] = w_ij A^i S_x^j part, nonzero ones
     sx_pow = part
-    j = 0
     while not sx_pow.is_zero():
+        j = len(rows)
+        row = []
         r = sx_pow
-        i = 0
         while not r.is_zero():
-            term = chain(r, (_C,) * i + (_S_U,) * j)
-            total = total + term.scaled(projection_weight(i, j, k, l, m))
+            row.append(r.scaled(projection_weight(len(row), j, k, l, m)))
             r = _apply_generator_unchecked(_A, r)
-            i += 1
+        rows.append(row)
         sx_pow = _apply_generator_unchecked(_S_X, sx_pow)
-        j += 1
-    return total
+    depth = max((len(row) for row in rows), default=0)
+    inner = [
+        _nested_sum(_S_U, [row[i] if i < len(row) else None for row in rows])
+        for i in range(depth)
+    ]
+    total = _nested_sum(_C, inner)
+    return Polynomial.zero(m) if total is None else total
 
 
 def master_projection(p: Polynomial) -> Polynomial:

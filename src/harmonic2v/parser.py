@@ -2,9 +2,10 @@
 
 Grammar: rational literals (``3``, ``-5/7``), the imaginary unit ``i``,
 variables ``x1..x<m>`` and ``u1..u<m>``, operators ``+ - * ^`` and
-parentheses.  ``^`` takes a non-negative integer exponent.  Printing a
-polynomial with ``str`` produces text this parser accepts, and parsing it
-back reproduces the polynomial exactly.
+parentheses.  ``^`` takes a non-negative integer exponent.  Exponents and
+the total degree of every product and power are capped at ``MAX_DEGREE``.
+Printing a polynomial with ``str`` produces text this parser accepts, and
+parsing it back reproduces the polynomial exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from fractions import Fraction
 from .errors import PolySyntaxError, VariableOutOfRange
 from .poly import Polynomial
 from .rationals import GAUSSIAN_I
+
+#: Largest exponent, and largest total degree of a product or power, accepted.
+MAX_DEGREE = 64
 
 
 class _Parser:
@@ -65,18 +69,29 @@ class _Parser:
             else:
                 return total
 
+    def check_degree(self, degree: int, what: str, at: int):
+        if degree > MAX_DEGREE:
+            raise PolySyntaxError(f"{what} {degree} exceeds the maximum degree {MAX_DEGREE}", at)
+
     def term(self) -> Polynomial:
         total = self.power()
         while self.peek() == "*":
+            at = self.pos
             self.pos += 1
-            total = total * self.power()
+            factor = self.power()
+            # Q(i) has no zero divisors, so degrees add under multiplication.
+            self.check_degree(total.total_degree() + factor.total_degree(), "product of degree", at)
+            total = total * factor
         return total
 
     def power(self) -> Polynomial:
         base = self.atom()
         while self.peek() == "^":
+            at = self.pos
             self.pos += 1
             exp = self.natural()
+            self.check_degree(exp, "exponent", at)
+            self.check_degree(base.total_degree() * exp, "power of degree", at)
             out = Polynomial.constant(self.m, 1)
             for _ in range(exp):
                 out = out * base

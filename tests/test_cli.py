@@ -11,7 +11,10 @@ from harmonic2v import (
     VariableOutOfRange,
     parse_poly,
 )
+from harmonic2v import cli
 from harmonic2v.cli import main
+from harmonic2v.errors import ZeroNormalizer
+from harmonic2v.parser import MAX_DEGREE
 from harmonic2v.poly import Monomial
 from harmonic2v.sampling import random_polynomial, seeded
 
@@ -51,6 +54,29 @@ def test_parse_error_carries_position():
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(PolySyntaxError):
         parse_poly("x1 x2", 5)
+
+
+def test_parse_accepts_the_maximum_degree():
+    assert parse_poly(f"x1^{MAX_DEGREE}", 5).total_degree() == MAX_DEGREE
+    half = MAX_DEGREE // 2
+    assert parse_poly(f"x1^{half}*u1^{half}", 5).total_degree() == MAX_DEGREE
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        (f"x1^{MAX_DEGREE + 1}", 2),
+        ("3^20000", 1),
+        (f"x1^{MAX_DEGREE // 2 + 1} * u1^{MAX_DEGREE // 2}", 6),
+        ("(x1 + u1)^2^33", 11),
+        (f"x1 + x1^{MAX_DEGREE}*x2", 10),
+    ],
+)
+def test_parse_rejects_degree_above_the_maximum(text, position):
+    with pytest.raises(PolySyntaxError) as err:
+        parse_poly(text, 5)
+    assert err.value.position == position
+    assert str(MAX_DEGREE) in str(err.value)
 
 
 def test_parse_print_parse_fixed_point(rng):
@@ -205,6 +231,26 @@ def test_cli_parse_error_exit_code(capsys):
 def test_cli_variable_range_exit_code(capsys):
     code = main(["integrate", "--m", "5", "--poly", "x9"])
     assert code == 2
+
+
+def test_cli_degree_limit_exit_code(capsys):
+    code = main(["decompose", "--m", "5", "--poly", "x1^20000"])
+    assert code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:") and "maximum degree" in stderr
+    assert "Traceback" not in stderr
+
+
+def test_cli_arithmetic_error_exit_code(monkeypatch, capsys):
+    def vanishing(*args, **kwargs):
+        raise ZeroNormalizer("component (1,0) is absent at target (1,0)")
+
+    monkeypatch.setattr(cli, "decompose_full", vanishing)
+    code = main(["decompose", "--m", "5", "--poly", "x1*u1"])
+    assert code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: component (1,0) is absent")
+    assert "Traceback" not in stderr
 
 
 def test_cli_usage_error_exit_code():

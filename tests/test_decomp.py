@@ -21,7 +21,8 @@ from harmonic2v import (
     projection_weight,
     verify_component_orthogonality,
 )
-from harmonic2v.decomp import is_simplicial
+from harmonic2v import transvector
+from harmonic2v.decomp import _master_projection_dominant, is_simplicial
 from harmonic2v.operators import cross_dd, laplacian_u, laplacian_x, skew_xu
 from harmonic2v.rationals import GAUSSIAN_I
 from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic
@@ -216,6 +217,75 @@ def test_master_projection_self_adjoint(rng):
             assert fischer_inner_product(master_projection(p), q) == fischer_inner_product(
                 p, master_projection(q)
             )
+
+
+def _operands(part):
+    """{(i, j): A^i S_x^j part} for every nonzero operand of the master series."""
+    out = {}
+    sx_pow, j = part, 0
+    while not sx_pow.is_zero():
+        r, i = sx_pow, 0
+        while not r.is_zero():
+            out[(i, j)] = r
+            r = generator_chain(r, (GeneratorTag.A,))
+            i += 1
+        sx_pow = generator_chain(sx_pow, (GeneratorTag.S_X,))
+        j += 1
+    return out
+
+
+def _term_by_term_projection(part):
+    """Reference: sum_{i,j} w_ij C^i S_u^j A^i S_x^j part, each chain built separately."""
+    m = part.m
+    k, l = part.bidegree()
+    total = Polynomial.zero(m)
+    for (i, j), r in _operands(part).items():
+        term = generator_chain(r, (GeneratorTag.C,) * i + (GeneratorTag.S_U,) * j)
+        total = total + term.scaled(projection_weight(i, j, k, l, m))
+    return total
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_nested_master_projection_matches_term_by_term(m, rng):
+    for l in range(5):
+        k = l + (l + m) % 2
+        h = random_double_harmonic(m, k, l, rng)
+        got = _master_projection_dominant(h)
+        assert got == _term_by_term_projection(h), (m, k, l)
+    h = random_double_harmonic(m, 1, 3, rng)
+    mirrored = _term_by_term_projection(h.swap_vectors()).swap_vectors()
+    assert master_projection(h) == mirrored
+
+
+def test_project_component_matches_term_by_term_on_every_cell(rng):
+    m = 5
+    p = random_double_harmonic(m, 4, 4, rng)
+    for i in range(5):
+        for j in range(5 - i):
+            w = generator_chain(p, (GeneratorTag.A,) * i + (GeneratorTag.S_X,) * j)
+            norm = ladder_alpha(i, j, i, j, 4 - i + j, 4 - i - j, m)
+            expected = _term_by_term_projection(w) if not w.is_zero() else w
+            assert project_component(p, i, j).harmonic == expected.scaled(1 / norm), (i, j)
+
+
+def test_nested_master_projection_applies_each_generator_once_per_term(rng, monkeypatch):
+    p = random_double_harmonic(5, 4, 4, rng)
+    terms = _operands(p)
+    calls = {GeneratorTag.C: 0, GeneratorTag.S_U: 0}
+
+    def counted(tag, fn):
+        def wrapper(q):
+            calls[tag] += 1
+            return fn(q)
+
+        return wrapper
+
+    for tag in calls:
+        monkeypatch.setitem(transvector._GEN_FUNC, tag, counted(tag, transvector._GEN_FUNC[tag]))
+    _master_projection_dominant(p)
+    applied = calls[GeneratorTag.C] + calls[GeneratorTag.S_U]
+    assert applied <= len(terms)
+    assert applied < sum(i + j for i, j in terms)
 
 
 # -- component projection and decomposition ----------------------------------------
