@@ -3,6 +3,7 @@ variables, with quadrature on the Stiefel manifold V_2(R^m)."""
 
 from .errors import (
     DimensionMismatch,
+    ExponentOutOfRange,
     GammaPole,
     IndexOutOfRange,
     LowerParameterPole,

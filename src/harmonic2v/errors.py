@@ -39,3 +39,8 @@ class PolySyntaxError(ValueError):
 
 class VariableOutOfRange(ValueError):
     """A parsed variable index exceeds the ambient dimension."""
+
+
+class ExponentOutOfRange(ValueError):
+    """An exponent is negative or not an integer, or a monomial's total degree
+    exceeds ``poly.MAX_TERM_DEGREE``."""

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import DimensionMismatch
 from .operators import laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x
-from .poly import Polynomial
+from .poly import Polynomial, exponents
 from .rationals import GaussianRational, rising
 from .transvector import chain, extremal_projection_s, extremal_projection_u, extremal_projection_x
 
@@ -95,7 +95,7 @@ def double_fischer(p: Polynomial) -> List[DoubleFischerComponent]:
 _FACTORIALS = [factorial(n) for n in range(64)]
 
 
-def _mono_factorial(e: Tuple[int, ...]) -> int:
+def _mono_factorial(e: Sequence[int]) -> int:
     out = 1
     for k in e:
         if k:
@@ -120,7 +120,7 @@ def fischer_inner_product(p: Polynomial, q: Polynomial) -> GaussianRational:
         cd = q._terms.get(e)
         if ab is None or cd is None:
             continue
-        f = _mono_factorial(e)
+        f = _mono_factorial(exponents(e, p.m))
         a, b = ab
         c, d = cd
         # conj(a + bi) * (c + di) = (ac + bd) + (ad - bc) i

@@ -3,7 +3,8 @@
 Grammar: rational literals (``3``, ``-5/7``), the imaginary unit ``i``,
 variables ``x1..x<m>`` and ``u1..u<m>``, operators ``+ - * ^`` and
 parentheses.  ``^`` takes a non-negative integer exponent.  Exponents and
-the total degree of every product and power are capped at ``MAX_DEGREE``.
+the total degree of every product and power are capped at ``MAX_DEGREE``,
+and the number of terms a product or power may reach at ``MAX_TERMS``.
 Printing a polynomial with ``str`` produces text this parser accepts, and
 parsing it back reproduces the polynomial exactly.
 """
@@ -11,13 +12,20 @@ parsing it back reproduces the polynomial exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import PolySyntaxError, VariableOutOfRange
 from .poly import Polynomial
 from .rationals import GAUSSIAN_I
 
 #: Largest exponent, and largest total degree of a product or power, accepted.
+#: It lies below ``poly.MAX_TERM_DEGREE`` (127), the largest total degree a
+#: term of any ``Polynomial`` can have, so parsed input leaves room above it.
 MAX_DEGREE = 64
+
+#: Largest number of terms a product or power may reach, bounded a priori by
+#: min(|a|*|b|, number of monomials of degree <= deg(a) + deg(b) in 2m variables).
+MAX_TERMS = 200_000
 
 
 class _Parser:
@@ -73,6 +81,13 @@ class _Parser:
         if degree > MAX_DEGREE:
             raise PolySyntaxError(f"{what} {degree} exceeds the maximum degree {MAX_DEGREE}", at)
 
+    def check_terms(self, count: int, degree: int, what: str, at: int):
+        bound = min(count, comb(degree + 2 * self.m, 2 * self.m))
+        if bound > MAX_TERMS:
+            raise PolySyntaxError(
+                f"{what} may reach {bound} terms, above the maximum {MAX_TERMS}", at
+            )
+
     def term(self) -> Polynomial:
         total = self.power()
         while self.peek() == "*":
@@ -80,7 +95,9 @@ class _Parser:
             self.pos += 1
             factor = self.power()
             # Q(i) has no zero divisors, so degrees add under multiplication.
-            self.check_degree(total.total_degree() + factor.total_degree(), "product of degree", at)
+            degree = total.total_degree() + factor.total_degree()
+            self.check_degree(degree, "product of degree", at)
+            self.check_terms(total.term_count() * factor.term_count(), degree, "product", at)
             total = total * factor
         return total
 
@@ -91,7 +108,10 @@ class _Parser:
             self.pos += 1
             exp = self.natural()
             self.check_degree(exp, "exponent", at)
-            self.check_degree(base.total_degree() * exp, "power of degree", at)
+            degree = base.total_degree() * exp
+            self.check_degree(degree, "power of degree", at)
+            # No intermediate power can have more terms than this bound.
+            self.check_terms(base.term_count() ** exp, degree, "power", at)
             out = Polynomial.constant(self.m, 1)
             for _ in range(exp):
                 out = out * base

@@ -3,7 +3,18 @@
 Coefficients live in Q(i).  Internally a polynomial stores Gaussian-integer
 numerators over one shared positive denominator, which keeps the hot loops in
 machine-integer arithmetic; ``GaussianRational`` values appear only at the API
-boundary.  Term keys are exponent tuples of length 2m (x-part then u-part).
+boundary.
+
+Each term is keyed by one packed ``int``: one byte per variable, read
+big-endian as the exponent word x_1..x_m, u_1..u_m, so ``key.to_bytes(2m,
+"big")`` is the exponent tuple and comparing keys compares exponent words
+lexicographically.  No term's total degree exceeds ``MAX_TERM_DEGREE`` (127),
+so the top bit of every byte stays clear: adding two keys multiplies the
+monomials without a carry into a neighbouring field, shifting an exponent is
+adding ``+-c << field_shift(...)``, and, since 256 = 1 (mod 255), a key's
+total degree is ``key % FIELD_MASK`` (its x- and u-degrees are that of its
+upper and lower halves).  Every operation that raises a degree checks the limit first
+and raises ``ExponentOutOfRange``.
 """
 
 from __future__ import annotations
@@ -11,12 +22,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, VariableOutOfRange
+from .errors import DimensionMismatch, ExponentOutOfRange, VariableOutOfRange
 from .rationals import GaussianRational
 
-RawTerms = Dict[Tuple[int, ...], Tuple[int, int]]
+#: Term dict: packed monomial key -> Gaussian-integer numerator (re, im).
+RawTerms = Dict[int, Tuple[int, int]]
+
+#: Largest total degree of one term.  It keeps every exponent below the top
+#: bit of its byte and every degree sum below 255 (see the module docstring).
+MAX_TERM_DEGREE = 127
+
+#: Bits of one exponent field in a packed key: one byte.
+FIELD_BITS = 8
+#: Mask of one field, and the modulus that sums a key's fields.
+FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+def field_shift(m: int, axis: str, index: int) -> int:
+    """Bit offset of the exponent of x_index or u_index (1-based) in a key."""
+    return FIELD_BITS * ((m if axis == "x" else 0) + m - index)
+
+
+def exponents(key: int, m: int) -> bytes:
+    """The 2m exponents of a packed key, x-part then u-part."""
+    return key.to_bytes(2 * m, "big")
+
+
+def _checked_key(exps: Sequence[int]) -> int:
+    """Pack an exponent word, rejecting what a key cannot hold."""
+    try:
+        fields = bytes(exps)  # TypeError unless integers, ValueError outside 0..255
+    except (TypeError, ValueError):
+        fields = None
+    if fields is None or sum(fields) > MAX_TERM_DEGREE:
+        raise ExponentOutOfRange(
+            f"exponents {tuple(exps)} are not non-negative integers of total degree"
+            f" at most {MAX_TERM_DEGREE}"
+        )
+    return int.from_bytes(fields, "big")
 
 
 @dataclass(frozen=True)
@@ -29,6 +74,11 @@ class Monomial:
     def __post_init__(self):
         if len(self.xexp) != len(self.uexp):
             raise DimensionMismatch("x- and u-exponent vectors differ in length")
+        _checked_key(self.xexp + self.uexp)
+
+    def key(self) -> int:
+        """The packed key of this monomial."""
+        return int.from_bytes(bytes(self.xexp + self.uexp), "big")
 
     @property
     def m(self) -> int:
@@ -112,7 +162,21 @@ class Polynomial:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, m: int, terms: RawTerms, den: int) -> "Polynomial":
+    def _raw(cls, m: int, terms: Dict[Tuple[int, ...], Tuple[int, int]], den: int) -> "Polynomial":
+        """Build from exponent tuples of length 2m (x-part then u-part) mapped to
+        Gaussian-integer numerators over the shared denominator ``den``."""
+        if m < 1:
+            raise DimensionMismatch(f"ambient dimension must be >= 1, got {m}")
+        packed: RawTerms = {}
+        for e, ab in terms.items():
+            if len(e) != 2 * m:
+                raise DimensionMismatch(f"exponent tuple of length {len(e)} for m={m}")
+            packed[_checked_key(e)] = ab
+        return cls._packed(m, packed, den)
+
+    @classmethod
+    def _packed(cls, m: int, terms: RawTerms, den: int) -> "Polynomial":
+        """Build from an owned dict keyed by packed monomial keys."""
         terms, den = _normalize(terms, den)
         obj = object.__new__(cls)
         object.__setattr__(obj, "m", m)
@@ -129,12 +193,11 @@ class Polynomial:
     def constant(cls, m: int, value) -> "Polynomial":
         if m < 1:
             raise DimensionMismatch(f"ambient dimension must be >= 1, got {m}")
-        zero_exp = (0,) * (2 * m)
         c = GaussianRational.of(value)
         den = c.re.denominator * c.im.denominator // gcd(c.re.denominator, c.im.denominator)
         a = c.re.numerator * (den // c.re.denominator)
         b = c.im.numerator * (den // c.im.denominator)
-        return cls._raw(m, {zero_exp: (a, b)}, den)
+        return cls._packed(m, {0: (a, b)}, den)
 
     @classmethod
     def variable(cls, m: int, axis: str, index: int) -> "Polynomial":
@@ -143,9 +206,7 @@ class Polynomial:
             raise ValueError("axis must be 'x' or 'u'")
         if not 1 <= index <= m:
             raise VariableOutOfRange(f"{axis}{index} out of range for m={m}")
-        exp = [0] * (2 * m)
-        exp[(0 if axis == "x" else m) + index - 1] = 1
-        return cls._raw(m, {tuple(exp): (1, 0)}, 1)
+        return cls._packed(m, {1 << field_shift(m, axis, index): (1, 0)}, 1)
 
     # -- basic queries ------------------------------------------------------
 
@@ -158,20 +219,23 @@ class Polynomial:
     def terms(self) -> Iterator[Tuple[Monomial, GaussianRational]]:
         m = self.m
         den = self._den
-        for e in sorted(self._terms, key=lambda e: (sum(e), e)):
-            a, b = self._terms[e]
-            yield Monomial(e[:m], e[m:]), GaussianRational(Fraction(a, den), Fraction(b, den))
+        for key in sorted(self._terms, key=lambda k: (k % FIELD_MASK, k)):
+            a, b = self._terms[key]
+            e = exponents(key, m)
+            yield Monomial(tuple(e[:m]), tuple(e[m:])), GaussianRational(
+                Fraction(a, den), Fraction(b, den)
+            )
 
     def coefficient(self, mono: Monomial) -> GaussianRational:
         if mono.m != self.m:
             raise DimensionMismatch("monomial length does not match m")
-        ab = self._terms.get(mono.xexp + mono.uexp)
+        ab = self._terms.get(mono.key())
         if ab is None:
             return GaussianRational()
         return GaussianRational(Fraction(ab[0], self._den), Fraction(ab[1], self._den))
 
     def constant_term(self) -> GaussianRational:
-        ab = self._terms.get((0,) * (2 * self.m))
+        ab = self._terms.get(0)
         if ab is None:
             return GaussianRational()
         return GaussianRational(Fraction(ab[0], self._den), Fraction(ab[1], self._den))
@@ -184,10 +248,11 @@ class Polynomial:
         cached = self._bid
         if cached is not _UNSET:
             return cached
-        m = self.m
+        half = FIELD_BITS * self.m
+        low = (1 << half) - 1
         seen = None
-        for e in self._terms:
-            d = (sum(e[:m]), sum(e[m:]))
+        for k in self._terms:
+            d = ((k >> half) % FIELD_MASK, (k & low) % FIELD_MASK)
             if seen is None:
                 seen = d
             elif seen != d:
@@ -199,15 +264,17 @@ class Polynomial:
     def bidegree_split(self) -> Dict[Tuple[int, int], "Polynomial"]:
         """Split into bihomogeneous parts; the parts sum back to the polynomial."""
         m = self.m
+        half = FIELD_BITS * m
+        low = (1 << half) - 1
         buckets: Dict[Tuple[int, int], RawTerms] = {}
-        for e, ab in self._terms.items():
-            buckets.setdefault((sum(e[:m]), sum(e[m:])), {})[e] = ab
+        for k, ab in self._terms.items():
+            buckets.setdefault(((k >> half) % FIELD_MASK, (k & low) % FIELD_MASK), {})[k] = ab
         return {
-            d: Polynomial._raw(m, raw, self._den) for d, raw in sorted(buckets.items())
+            d: Polynomial._packed(m, raw, self._den) for d, raw in sorted(buckets.items())
         }
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
+        return max((k % FIELD_MASK for k in self._terms), default=0)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -216,12 +283,21 @@ class Polynomial:
             raise DimensionMismatch(f"dimension mismatch: {self.m} vs {other.m}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other in one pass over both term dicts."""
         self._check_same(other)
         d1, d2 = self._den, other._den
         g = gcd(d1, d2)
-        f1, f2 = d2 // g, d1 // g
+        f1, f2 = d2 // g, sign * (d1 // g)
         out: RawTerms = (
-            {e: (a * f1, b * f1) for e, (a, b) in self._terms.items()} if f1 != 1 else dict(self._terms)
+            {e: (a * f1, b * f1) for e, (a, b) in self._terms.items()}
+            if f1 != 1
+            else dict(self._terms)
         )
         for e, (a, b) in other._terms.items():
             a *= f2
@@ -231,21 +307,26 @@ class Polynomial:
                 out[e] = (a, b)
             else:
                 out[e] = (cur[0] + a, cur[1] + b)
-        return Polynomial._raw(self.m, out, d1 * f1)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return Polynomial._packed(self.m, out, d1 * f1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(self.m, {e: (-a, -b) for e, (a, b) in self._terms.items()}, self._den)
+        out = {e: (-a, -b) for e, (a, b) in self._terms.items()}
+        return Polynomial._packed(self.m, out, self._den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_same(other)
+            # Q(i) has no zero divisors, so the product's degree is the sum.
+            if self._terms and other._terms:
+                degree = self.total_degree() + other.total_degree()
+                if degree > MAX_TERM_DEGREE:
+                    raise ExponentOutOfRange(
+                        f"product of degree {degree} exceeds the maximum {MAX_TERM_DEGREE}"
+                    )
             out: RawTerms = {}
             for e1, (a1, b1) in self._terms.items():
                 for e2, (a2, b2) in other._terms.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
+                    e = e1 + e2
                     a = a1 * a2 - b1 * b2
                     b = a1 * b2 + b1 * a2
                     cur = out.get(e)
@@ -253,7 +334,7 @@ class Polynomial:
                         out[e] = (a, b)
                     else:
                         out[e] = (cur[0] + a, cur[1] + b)
-            return Polynomial._raw(self.m, out, self._den * other._den)
+            return Polynomial._packed(self.m, out, self._den * other._den)
         return self.scaled(other)
 
     __rmul__ = __mul__
@@ -263,13 +344,13 @@ class Polynomial:
             if not scalar:
                 return Polynomial.zero(self.m)
             out = {e: (a * scalar, b * scalar) for e, (a, b) in self._terms.items()}
-            return Polynomial._raw(self.m, out, self._den)
+            return Polynomial._packed(self.m, out, self._den)
         if isinstance(scalar, Fraction):
             num, den_c = scalar.numerator, scalar.denominator
             if not num:
                 return Polynomial.zero(self.m)
             out = {e: (a * num, b * num) for e, (a, b) in self._terms.items()}
-            return Polynomial._raw(self.m, out, self._den * den_c)
+            return Polynomial._packed(self.m, out, self._den * den_c)
         c = GaussianRational.of(scalar)
         if c.is_zero():
             return Polynomial.zero(self.m)
@@ -283,11 +364,12 @@ class Polynomial:
             out = {
                 e: (a * ar - b * ai, a * ai + b * ar) for e, (a, b) in self._terms.items()
             }
-        return Polynomial._raw(self.m, out, self._den * den_c)
+        return Polynomial._packed(self.m, out, self._den * den_c)
 
     def conjugate(self) -> "Polynomial":
         """Conjugate every coefficient (variables untouched)."""
-        return Polynomial._raw(self.m, {e: (a, -b) for e, (a, b) in self._terms.items()}, self._den)
+        out = {e: (a, -b) for e, (a, b) in self._terms.items()}
+        return Polynomial._packed(self.m, out, self._den)
 
     def partial(self, axis: str, index: int) -> "Polynomial":
         """Exact partial derivative with respect to x_index or u_index (1-based)."""
@@ -295,32 +377,34 @@ class Polynomial:
             raise ValueError("axis must be 'x' or 'u'")
         if not 1 <= index <= self.m:
             raise VariableOutOfRange(f"{axis}{index} out of range for m={self.m}")
-        pos = (0 if axis == "x" else self.m) + index - 1
+        shift = field_shift(self.m, axis, index)
+        one = 1 << shift
         out: RawTerms = {}
         for e, (a, b) in self._terms.items():
-            k = e[pos]
+            k = (e >> shift) & FIELD_MASK
             if not k:
                 continue
-            ne = e[:pos] + (k - 1,) + e[pos + 1 :]
+            ne = e - one
             cur = out.get(ne)
             if cur is None:
                 out[ne] = (a * k, b * k)
             else:
                 out[ne] = (cur[0] + a * k, cur[1] + b * k)
-        return Polynomial._raw(self.m, out, self._den)
+        return Polynomial._packed(self.m, out, self._den)
 
     def swap_vectors(self) -> "Polynomial":
         """Exchange the roles of x and u."""
-        m = self.m
-        return Polynomial._raw(
-            self.m, {e[m:] + e[:m]: ab for e, ab in self._terms.items()}, self._den
-        )
+        half = FIELD_BITS * self.m
+        low = (1 << half) - 1
+        out = {((k & low) << half) | (k >> half): ab for k, ab in self._terms.items()}
+        return Polynomial._packed(self.m, out, self._den)
 
     def evaluate(self, xs, us) -> complex:
         """Numerically evaluate at a point (floating point; for oracles only)."""
         m = self.m
         total = 0j
-        for e, (a, b) in self._terms.items():
+        for key, (a, b) in self._terms.items():
+            e = exponents(key, m)
             v = complex(a, b)
             for i in range(m):
                 if e[i]:
@@ -361,7 +445,7 @@ def _build_raw(m: int, terms: Dict[Monomial, object]) -> Tuple[RawTerms, int]:
             continue
         dr, di = c.re.denominator, c.im.denominator
         dc = dr * di // gcd(dr, di)
-        staged.append((mono.xexp + mono.uexp, c, dc))
+        staged.append((mono.key(), c, dc))
         den = den // gcd(den, dc) * dc
     raw: RawTerms = {}
     for e, c, _ in staged:

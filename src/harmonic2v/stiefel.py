@@ -20,7 +20,7 @@ import numpy as np
 
 from .fischer import _pi_ij
 from .operators import cross_dd, laplacian_x, mul_inner_ux, mul_normsq_u, mul_normsq_x
-from .poly import Polynomial
+from .poly import Polynomial, exponents
 from .rationals import GaussianRational, rising, rising_ext
 from .transvector import _require_theory_dimension, chain
 
@@ -276,7 +276,8 @@ def _eval_on_frames(p: Polynomial, omega, eta):
     m = p.m
     vals = np.zeros(omega.shape[0])
     den = float(p._den)
-    for e, (a, b) in p._terms.items():
+    for key, (a, b) in p._terms.items():
+        e = exponents(key, m)
         term = np.ones(omega.shape[0])
         for i in range(m):
             if e[i]:

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from harmonic2v import (
 from harmonic2v import cli
 from harmonic2v.cli import main
 from harmonic2v.errors import ZeroNormalizer
-from harmonic2v.parser import MAX_DEGREE
+from harmonic2v.parser import MAX_DEGREE, MAX_TERMS
 from harmonic2v.poly import Monomial
 from harmonic2v.sampling import random_polynomial, seeded
 
@@ -77,6 +78,27 @@ def test_parse_rejects_degree_above_the_maximum(text, position):
         parse_poly(text, 5)
     assert err.value.position == position
     assert str(MAX_DEGREE) in str(err.value)
+
+
+def test_parse_accepts_a_power_below_the_term_limit():
+    p = parse_poly("(x1+x2+x3+x4+x5+u1+u2+u3+u4+u5)^10", 5)
+    assert p.term_count() == 92378 <= MAX_TERMS
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("(x1+x2+x3+x4+x5+u1+u2+u3+u4+u5)^64", 31),
+        ("(x1+x2+x3+x4+x5+u1+u2+u3+u4+u5)^6 * (x1+x2+x3+x4+x5+u1+u2+u3+u4+u5)^6", 34),
+    ],
+)
+def test_parse_rejects_term_count_above_the_maximum(text, position):
+    start = time.perf_counter()
+    with pytest.raises(PolySyntaxError) as err:
+        parse_poly(text, 5)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.position == position
+    assert str(MAX_TERMS) in str(err.value)
 
 
 def test_parse_print_parse_fixed_point(rng):

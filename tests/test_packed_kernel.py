@@ -1,0 +1,179 @@
+"""Packed monomial keys against a tuple-keyed reference, and their limits.
+
+The reference reads polynomials only through ``terms()`` and works on
+exponent tuples with ``GaussianRational`` coefficients, the representation
+the packed keys replaced; it shares no code with the key arithmetic.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from harmonic2v import ExponentOutOfRange, GaussianRational, Monomial, Polynomial
+from harmonic2v import operators
+from harmonic2v.parser import MAX_DEGREE
+from harmonic2v.poly import MAX_TERM_DEGREE
+
+
+def ref_terms(p):
+    return {mono.xexp + mono.uexp: c for mono, c in p.terms()}
+
+
+def ref_apply(terms, rule):
+    """Sum of factor * coefficient at exponent tuple ne, over (ne, factor) in rule(e)."""
+    out = {}
+    for e, c in terms.items():
+        for ne, f in rule(e):
+            out[ne] = out.get(ne, GaussianRational()) + c * f
+    return {e: c for e, c in out.items() if c}
+
+
+def bump(e, changes):
+    e = list(e)
+    for pos, d in changes.items():
+        e[pos] += d
+    return tuple(e)
+
+
+def ref_rules(m):
+    xs, us = range(m), range(m, 2 * m)
+    pairs = list(zip(xs, us))
+    return {
+        "laplacian_x": lambda e: [(bump(e, {i: -2}), e[i] * (e[i] - 1)) for i in xs if e[i] >= 2],
+        "laplacian_u": lambda e: [(bump(e, {i: -2}), e[i] * (e[i] - 1)) for i in us if e[i] >= 2],
+        "mul_normsq_x": lambda e: [(bump(e, {i: 2}), 1) for i in xs],
+        "mul_normsq_u": lambda e: [(bump(e, {i: 2}), 1) for i in us],
+        "mul_inner_ux": lambda e: [(bump(e, {i: 1, j: 1}), 1) for i, j in pairs],
+        "cross_dd": lambda e: [
+            (bump(e, {i: -1, j: -1}), e[i] * e[j]) for i, j in pairs if e[i] and e[j]
+        ],
+        "skew_ux": lambda e: [(bump(e, {i: -1, j: 1}), e[i]) for i, j in pairs if e[i]],
+        "skew_xu": lambda e: [(bump(e, {i: 1, j: -1}), e[j]) for i, j in pairs if e[j]],
+    }
+
+
+def ref_degrees(e, m):
+    return sum(e[:m]), sum(e[m:])
+
+
+@st.composite
+def polys(draw, m=None):
+    m = m if m is not None else draw(st.sampled_from([1, 2, 5, 8]))
+    data = {}
+    for _ in range(draw(st.integers(0, 6))):
+        xe = tuple(draw(st.integers(0, 3)) for _ in range(m))
+        ue = tuple(draw(st.integers(0, 3)) for _ in range(m))
+        re = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        im = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        data[Monomial(xe, ue)] = GaussianRational(re, im)
+    return Polynomial(m, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys())
+def test_atoms_match_reference(p):
+    terms = ref_terms(p)
+    for name, rule in ref_rules(p.m).items():
+        assert ref_terms(getattr(operators, name)(p)) == ref_apply(terms, rule), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.data())
+def test_partial_and_swap_match_reference(p, data):
+    m = p.m
+    terms = ref_terms(p)
+    axis = data.draw(st.sampled_from("xu"))
+    index = data.draw(st.integers(1, m))
+    pos = (0 if axis == "x" else m) + index - 1
+    expect = ref_apply(terms, lambda e: [(bump(e, {pos: -1}), e[pos])] if e[pos] else [])
+    assert ref_terms(p.partial(axis, index)) == expect
+    assert ref_terms(p.swap_vectors()) == {e[m:] + e[:m]: c for e, c in terms.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 5, 8]).flatmap(lambda m: st.tuples(polys(m), polys(m))))
+def test_product_matches_reference(pq):
+    p, q = pq
+    expect = {}
+    for e1, c1 in ref_terms(p).items():
+        for e2, c2 in ref_terms(q).items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            expect[e] = expect.get(e, GaussianRational()) + c1 * c2
+    assert ref_terms(p * q) == {e: c for e, c in expect.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys())
+def test_degrees_split_and_order_match_reference(p):
+    m = p.m
+    terms = ref_terms(p)
+    assert list(terms) == sorted(terms, key=lambda e: (sum(e), e))
+    degrees = {ref_degrees(e, m) for e in terms}
+    assert p.bidegree() == (degrees.pop() if len(degrees) == 1 else None)
+    assert p.total_degree() == max((sum(e) for e in terms), default=0)
+    split = p.bidegree_split()
+    assert list(split) == sorted({ref_degrees(e, m) for e in terms})
+    for d, part in split.items():
+        assert ref_terms(part) == {e: c for e, c in terms.items() if ref_degrees(e, m) == d}
+
+
+# -- limits --------------------------------------------------------------------
+
+
+def mono(m, xexp=(), uexp=()):
+    """The monomial with the given leading x- and u-exponents, zero-padded to m."""
+    xexp, uexp = (tuple(e) + (0,) * (m - len(e)) for e in (xexp, uexp))
+    return Polynomial(m, {Monomial(xexp, uexp): 1})
+
+
+def test_parser_limit_lies_below_the_term_degree_limit():
+    assert MAX_DEGREE < MAX_TERM_DEGREE
+
+
+@pytest.mark.parametrize("m", [1, 8])
+def test_degrees_are_exact_at_the_limit(m):
+    spread = [MAX_TERM_DEGREE // m + (i < MAX_TERM_DEGREE % m) for i in range(m)]
+    top_x = mono(m, spread)
+    assert top_x.total_degree() == MAX_TERM_DEGREE
+    assert top_x.bidegree() == (MAX_TERM_DEGREE, 0)
+    assert top_x.swap_vectors().bidegree() == (0, MAX_TERM_DEGREE)
+    mixed = mono(m, [64], [MAX_TERM_DEGREE - 64])
+    assert mixed.bidegree() == (64, MAX_TERM_DEGREE - 64)
+    assert set((top_x + mixed).bidegree_split()) == {(64, 63), (MAX_TERM_DEGREE, 0)}
+    assert ref_terms(top_x) == {tuple(spread) + (0,) * m: 1}
+
+
+def test_product_at_the_limit_and_one_past():
+    m = 5
+    assert mono(m, [100]) * mono(m, [27]) == mono(m, [MAX_TERM_DEGREE])
+    with pytest.raises(ExponentOutOfRange):
+        mono(m, [100]) * mono(m, [], [28])
+
+
+@pytest.mark.parametrize("name", ["mul_normsq_x", "mul_normsq_u", "mul_inner_ux"])
+def test_multipliers_at_the_limit_and_one_past(name):
+    m = 5
+    atom = getattr(operators, name)
+    assert atom(mono(m, [MAX_TERM_DEGREE - 2])).total_degree() == MAX_TERM_DEGREE
+    assert atom(mono(m, [], [MAX_TERM_DEGREE - 2])).total_degree() == MAX_TERM_DEGREE
+    with pytest.raises(ExponentOutOfRange):
+        atom(mono(m, [1], [MAX_TERM_DEGREE - 2]) + mono(m, [1]))
+
+
+@pytest.mark.parametrize("name", ["skew_ux", "skew_xu"])
+def test_skews_keep_the_degree_at_the_limit(name):
+    m = 5
+    # x1^127 -> x1^126 u1 and u1^127 -> x1 u1^126: no field reaches the top bit.
+    p = mono(m, [MAX_TERM_DEGREE]) + mono(m, [], [MAX_TERM_DEGREE])
+    assert getattr(operators, name)(p).total_degree() == MAX_TERM_DEGREE
+
+
+def test_construction_at_the_limit_and_one_past():
+    m = 2
+    assert mono(m, [MAX_TERM_DEGREE - 1], [1]).total_degree() == MAX_TERM_DEGREE
+    with pytest.raises(ExponentOutOfRange):
+        Monomial((MAX_TERM_DEGREE, 0), (0, 1))
+    with pytest.raises(ExponentOutOfRange):
+        Polynomial._raw(m, {(MAX_TERM_DEGREE + 1, 0, 0, 0): (1, 0)}, 1)

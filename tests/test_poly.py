@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic2v import DimensionMismatch, GaussianRational, Monomial, Polynomial
+from harmonic2v import DimensionMismatch, ExponentOutOfRange, GaussianRational, Monomial, Polynomial
 from harmonic2v.rationals import GAUSSIAN_I
 
 from conftest import poly
@@ -78,6 +78,32 @@ def test_monomial_ordering_and_str():
     assert str(Monomial((0,) * 5, (0,) * 5)) == "1"
 
 
+@pytest.mark.parametrize(
+    "xexp, uexp",
+    [
+        ((-1, 0, 0, 0, 0), (0,) * 5),
+        ((1.5, 0, 0, 0, 0), (0,) * 5),
+        (("2", 0, 0, 0, 0), (0,) * 5),
+        ((128, 0, 0, 0, 0), (0,) * 5),
+        ((64, 0, 0, 0, 0), (64, 0, 0, 0, 0)),
+    ],
+)
+def test_monomial_rejects_bad_exponents(xexp, uexp):
+    with pytest.raises(ExponentOutOfRange):
+        Monomial(xexp, uexp)
+    assert issubclass(ExponentOutOfRange, ValueError)
+
+
+def test_raw_rejects_bad_dimensions():
+    with pytest.raises(DimensionMismatch):
+        Polynomial._raw(0, {(): (1, 0)}, 1)
+    with pytest.raises(DimensionMismatch):
+        Polynomial._raw(5, {(1,) * 9: (1, 0)}, 1)
+    with pytest.raises(DimensionMismatch):
+        Polynomial._raw(2, {(1, 0): (1, 0)}, 1)
+    assert Polynomial._raw(1, {(1, 0): (1, 0)}, 1) == poly("x1", 1)
+
+
 def test_coefficient_access():
     p = poly("1/2*x1^2 - i*u3", 5)
     assert p.coefficient(Monomial((2, 0, 0, 0, 0), (0,) * 5)) == GaussianRational(Fraction(1, 2))
@@ -120,6 +146,8 @@ def small_polys(draw):
 def test_ring_axioms(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert p + q == q + p
+    assert p - q == p + (-q)
+    assert (p - q) + q == p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
 
