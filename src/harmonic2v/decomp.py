@@ -5,9 +5,12 @@ exhaust the bihomogeneous double harmonics.  Closed-form ladder constants give
 exact projections onto every cell; combining them with the double Fischer
 split decomposes arbitrary polynomials into irreducible pieces.
 
-Inputs with u-degree exceeding x-degree are handled by the mirrored pipeline:
-swap the two vector variables, decompose, swap back.  Mirrored components are
-flagged and embed through C^i S_x^j instead of C^i S_u^j.
+Each cell is projected directly from the layer (``project_component``); no
+cell depends on another.  Inputs with u-degree exceeding x-degree are
+mirrored: ``_orient`` is the one place that validates an input and decides to
+swap the two vector variables, the projections run on the swapped part, and
+``_restore`` swaps each result back.  Mirrored components are flagged and
+embed through C^i S_x^j instead of C^i S_u^j.
 """
 
 from __future__ import annotations
@@ -249,109 +252,74 @@ def _master_projection_dominant(part: Polynomial) -> Polynomial:
     return Polynomial.zero(m) if total is None else total
 
 
-def master_projection(p: Polynomial) -> Polynomial:
-    """Project a bihomogeneous double harmonic onto its simplicial part."""
+def _orient(p: Polynomial) -> Tuple[Polynomial, bool]:
+    """Validate a bihomogeneous double harmonic and return ``(part, mirrored)``.
+
+    ``part`` is p itself when its bidegree (k, l) has k >= l, and p with x and
+    u swapped otherwise (``mirrored``); every projection works on the
+    x-dominant part.  The zero polynomial passes through unmirrored.
+    """
     _require_theory_dimension(p.m)
     if p.is_zero():
-        return p
+        return p, False
     _check_double_harmonic(p)
     bid = p.bidegree()
     if bid is None:
-        raise ValueError("master projection needs a bihomogeneous input")
+        raise ValueError("projection needs a bihomogeneous input")
     k, l = bid
-    if k >= l:
-        return _master_projection_dominant(p)
-    return _master_projection_dominant(p.swap_vectors()).swap_vectors()
+    return (p.swap_vectors(), True) if k < l else (p, False)
+
+
+def _restore(comp: SimplicialComponent, mirrored: bool) -> SimplicialComponent:
+    """Undo the swap of ``_orient`` on a component of the x-dominant part."""
+    if not mirrored:
+        return comp
+    return SimplicialComponent(comp.index, comp.harmonic.swap_vectors(), mirrored=True)
+
+
+def master_projection(p: Polynomial) -> Polynomial:
+    """Project a bihomogeneous double harmonic onto its simplicial part."""
+    part, mirrored = _orient(p)
+    if part.is_zero():
+        return part
+    h = _master_projection_dominant(part)
+    return h.swap_vectors() if mirrored else h
 
 
 def project_component(p: Polynomial, i: int, j: int) -> SimplicialComponent:
     """Extract the (i, j) ladder cell of a bihomogeneous double harmonic."""
-    _require_theory_dimension(p.m)
-    _check_double_harmonic(p)
-    bid = p.bidegree()
+    part, mirrored = _orient(p)
+    bid = part.bidegree()
     if bid is None:
         raise ValueError("component projection needs a bihomogeneous input")
     pd, qd = bid
-    mirrored = pd < qd
-    if mirrored:
-        comp = project_component(p.swap_vectors(), i, j)
-        return SimplicialComponent(comp.index, comp.harmonic.swap_vectors(), mirrored=True)
     if not (0 <= i <= qd and 0 <= j <= qd - i):
         raise IndexOutOfRange(f"cell ({i},{j}) outside the ladder range of bidegree {bid}")
     tk, tl = pd - i + j, qd - i - j
     norm = ladder_alpha(i, j, i, j, tk, tl, p.m)
     if not norm:
         raise ZeroNormalizer(f"component ({i},{j}) is absent at target ({tk},{tl})")
-    w = chain(p, (_A,) * i + (_S_X,) * j)
+    w = chain(part, (_A,) * i + (_S_X,) * j)
     h = _master_projection_dominant(w) if not w.is_zero() else w
-    return SimplicialComponent(LadderIndex(i, j, tk, tl), h.scaled(1 / norm))
+    return _restore(SimplicialComponent(LadderIndex(i, j, tk, tl), h.scaled(1 / norm)), mirrored)
 
 
 # -- decomposition ----------------------------------------------------------------
 
 
-def _decompose_dominant_direct(part: Polynomial) -> List[SimplicialComponent]:
+def decompose_double_harmonic(p: Polynomial) -> List[SimplicialComponent]:
+    """Split a bihomogeneous double harmonic into its nonzero ladder cells."""
+    part, mirrored = _orient(p)
+    if part.is_zero():
+        return []
     _, l = part.bidegree()
     out = []
     for i in range(l + 1):
         for j in range(l - i + 1):
             comp = project_component(part, i, j)
             if not comp.harmonic.is_zero():
-                out.append(comp)
+                out.append(_restore(comp, mirrored))
     return out
-
-
-def _decompose_dominant_sequential(part: Polynomial) -> List[SimplicialComponent]:
-    """Peel cells in decreasing (j, i) order, subtracting embedded components.
-
-    After the cells with a higher S_u power (or equal power and higher C power)
-    are removed, the chain A^i S_x^j annihilates every remaining cell except
-    (i, j) itself, so one normalization recovers the harmonic.
-    """
-    m = part.m
-    k, l = part.bidegree()
-    residual = part
-    found: List[Tuple[int, int, SimplicialComponent]] = []
-    cells = sorted(
-        ((i, j) for i in range(l + 1) for j in range(l - i + 1)),
-        key=lambda c: (-c[1], -c[0]),
-    )
-    for i, j in cells:
-        if residual.is_zero():
-            break
-        w = chain(residual, (_A,) * i + (_S_X,) * j)
-        if w.is_zero():
-            continue
-        tk, tl = k - i + j, l - i - j
-        h = w.scaled(1 / ladder_alpha(i, j, i, j, tk, tl, m))
-        comp = SimplicialComponent(LadderIndex(i, j, tk, tl), h)
-        found.append((i, j, comp))
-        residual = residual - comp.embedded()
-    if not residual.is_zero():
-        raise ArithmeticError("sequential peeling left a nonzero residual")
-    return [c for _, _, c in sorted(found, key=lambda t: (t[0], t[1]))]
-
-
-def decompose_double_harmonic(p: Polynomial, strategy: str = "direct") -> List[SimplicialComponent]:
-    """Split a bihomogeneous double harmonic into its ladder cells."""
-    _require_theory_dimension(p.m)
-    if p.is_zero():
-        return []
-    _check_double_harmonic(p)
-    bid = p.bidegree()
-    if bid is None:
-        raise ValueError("decomposition needs a bihomogeneous input")
-    if strategy not in ("direct", "sequential"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    k, l = bid
-    if k < l:
-        comps = decompose_double_harmonic(p.swap_vectors(), strategy)
-        return [
-            SimplicialComponent(c.index, c.harmonic.swap_vectors(), mirrored=True) for c in comps
-        ]
-    if strategy == "direct":
-        return _decompose_dominant_direct(p)
-    return _decompose_dominant_sequential(p)
 
 
 @dataclass(frozen=True)
@@ -384,13 +352,13 @@ class DecompositionResult:
         return self.reconstruct() == self.source
 
 
-def decompose_full(p: Polynomial, strategy: str = "direct") -> DecompositionResult:
+def decompose_full(p: Polynomial) -> DecompositionResult:
     """Two-stage pipeline: double Fischer split, then ladder decomposition."""
     _require_theory_dimension(p.m)
     entries: List[DecompositionEntry] = []
     for _, part in sorted(p.bidegree_split().items()):
         for layer in double_fischer(part):
-            for comp in decompose_double_harmonic(layer.part, strategy):
+            for comp in decompose_double_harmonic(layer.part):
                 entries.append(DecompositionEntry(layer.i, layer.j, comp))
     entries.sort(key=lambda e: (e.a, e.b, e.component.index.i, e.component.index.j, e.component.mirrored))
     return DecompositionResult(p.m, p, tuple(entries))

@@ -193,10 +193,7 @@ class Polynomial:
     def constant(cls, m: int, value) -> "Polynomial":
         if m < 1:
             raise DimensionMismatch(f"ambient dimension must be >= 1, got {m}")
-        c = GaussianRational.of(value)
-        den = c.re.denominator * c.im.denominator // gcd(c.re.denominator, c.im.denominator)
-        a = c.re.numerator * (den // c.re.denominator)
-        b = c.im.numerator * (den // c.im.denominator)
+        a, b, den = _numerators(GaussianRational.of(value))
         return cls._packed(m, {0: (a, b)}, den)
 
     @classmethod
@@ -354,10 +351,7 @@ class Polynomial:
         c = GaussianRational.of(scalar)
         if c.is_zero():
             return Polynomial.zero(self.m)
-        dr, di = c.re.denominator, c.im.denominator
-        den_c = dr * di // gcd(dr, di)
-        ar = c.re.numerator * (den_c // dr)
-        ai = c.im.numerator * (den_c // di)
+        ar, ai, den_c = _numerators(c)
         if ai == 0:
             out = {e: (a * ar, b * ar) for e, (a, b) in self._terms.items()}
         else:
@@ -399,21 +393,6 @@ class Polynomial:
         out = {((k & low) << half) | (k >> half): ab for k, ab in self._terms.items()}
         return Polynomial._packed(self.m, out, self._den)
 
-    def evaluate(self, xs, us) -> complex:
-        """Numerically evaluate at a point (floating point; for oracles only)."""
-        m = self.m
-        total = 0j
-        for key, (a, b) in self._terms.items():
-            e = exponents(key, m)
-            v = complex(a, b)
-            for i in range(m):
-                if e[i]:
-                    v *= xs[i] ** e[i]
-                if e[m + i]:
-                    v *= us[i] ** e[m + i]
-            total += v
-        return total / self._den
-
     # -- comparison / display -------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -436,21 +415,25 @@ class Polynomial:
         return f"Polynomial(m={self.m}, {self})"
 
 
+def _numerators(c: GaussianRational) -> Tuple[int, int, int]:
+    """(a, b, d) with c = (a + b i) / d, d the lcm of the two part denominators."""
+    dr, di = c.re.denominator, c.im.denominator
+    d = dr * di // gcd(dr, di)
+    return c.re.numerator * (d // dr), c.im.numerator * (d // di), d
+
+
 def _build_raw(m: int, terms: Dict[Monomial, object]) -> Tuple[RawTerms, int]:
     den = 1
     staged = []
     for mono, coeff in terms.items():
-        c = GaussianRational.of(coeff)
-        if c.is_zero():
-            continue
-        dr, di = c.re.denominator, c.im.denominator
-        dc = dr * di // gcd(dr, di)
-        staged.append((mono.key(), c, dc))
-        den = den // gcd(den, dc) * dc
+        a, b, dc = _numerators(GaussianRational.of(coeff))
+        if a or b:
+            staged.append((mono.key(), a, b, dc))
+            den = den // gcd(den, dc) * dc
     raw: RawTerms = {}
-    for e, c, _ in staged:
-        a = c.re.numerator * (den // c.re.denominator)
-        b = c.im.numerator * (den // c.im.denominator)
+    for e, a, b, dc in staged:
+        f = den // dc
+        a, b = a * f, b * f
         cur = raw.get(e)
         if cur is None:
             raw[e] = (a, b)

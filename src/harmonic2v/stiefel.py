@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fischer import _pi_ij
-from .operators import cross_dd, laplacian_x, mul_inner_ux, mul_normsq_u, mul_normsq_x
+from .fischer import _pi_ij, mul_norm_powers
+from .operators import cross_dd, laplacian_x, mul_inner_ux
 from .poly import Polynomial, exponents
 from .rationals import GaussianRational, rising, rising_ext
 from .transvector import _require_theory_dimension, chain
@@ -50,9 +50,6 @@ class SphereIntegral:
             else f"({self.pi_power})"
         )
         return f"{self.coefficient} * pi^{power}"
-
-    def to_float(self) -> complex:
-        return self.coefficient.to_complex() * float(np.pi) ** float(self.pi_power)
 
 
 # -- Gegenbauer embedding ---------------------------------------------------------
@@ -86,30 +83,12 @@ def c_power_one(beta: int, m: int) -> Polynomial:
         raise ValueError("power must be non-negative")
     lam = Fraction(m, 2) - 1
     prefactor = Fraction(factorial(beta)) / (Fraction(2) ** beta * rising(lam, beta))
-    inner = _inner_ux_poly(m)
-    normx = _normsq_poly(m, "x")
-    normu = _normsq_poly(m, "u")
     total = Polynomial.zero(m)
     for degree, coeff in gegenbauer(beta, lam).items():
         j = (beta - degree) // 2
-        term = Polynomial.constant(m, prefactor * coeff)
-        for _ in range(degree):
-            term = term * inner
-        for _ in range(j):
-            term = term * normx
-        for _ in range(j):
-            term = term * normu
-        total = total + term
+        term = chain(Polynomial.constant(m, prefactor * coeff), (mul_inner_ux,) * degree)
+        total = total + mul_norm_powers(term, j, j)
     return total
-
-
-def _inner_ux_poly(m: int) -> Polynomial:
-    return mul_inner_ux(Polynomial.constant(m, 1))
-
-
-def _normsq_poly(m: int, axis: str) -> Polynomial:
-    fn = mul_normsq_x if axis == "x" else mul_normsq_u
-    return fn(Polynomial.constant(m, 1))
 
 
 def a_c_power_constant(beta: int, m: int) -> Fraction:
@@ -157,17 +136,10 @@ def _stiefel_exact_part(part: Polynomial) -> GaussianRational:
     if p_deg % 2 or q_deg % 2:
         return GaussianRational()
     total = GaussianRational()
-    for jx in range(p_deg // 2 + 1):
-        for ju in range(q_deg // 2 + 1):
-            if p_deg - 2 * jx != q_deg - 2 * ju:
-                continue
-            diag = p_deg - 2 * jx
-            if diag % 2:
-                continue
-            i = diag // 2
-            layer = _pi_ij(part, jx, ju)
-            if layer.is_zero():
-                continue
+    # the diagonal layers |x|^{2jx} |u|^{2ju} H of bidegree (2i, 2i)
+    for i in range(min(p_deg, q_deg) // 2 + 1):
+        layer = _pi_ij(part, p_deg // 2 - i, q_deg // 2 - i)
+        if not layer.is_zero():
             w = chain(layer, (cross_dd,) * (2 * i))
             total = total + w.constant_term() * gamma_constant(i, part.m)
     return total

@@ -1,0 +1,78 @@
+"""Sequential peel: a reference decomposition for the tests.
+
+It shares the library's building blocks (``double_fischer``, the generators
+and ``ladder_alpha``) but not its projections: instead of projecting every
+cell straight from the layer, it peels cells off one at a time and subtracts
+each embedded component before the next.  Agreement with ``decompose_full``
+therefore checks the master projection and the cell weights against a
+different route to the same components.
+"""
+
+from typing import List, Tuple
+
+from harmonic2v import GeneratorTag, Polynomial, double_fischer, ladder_alpha
+from harmonic2v.decomp import (
+    DecompositionEntry,
+    DecompositionResult,
+    LadderIndex,
+    SimplicialComponent,
+)
+from harmonic2v.transvector import chain
+
+_A, _S_X = GeneratorTag.A, GeneratorTag.S_X
+
+
+def _peel_dominant(part: Polynomial) -> List[SimplicialComponent]:
+    """Peel cells in decreasing (j, i) order, subtracting embedded components.
+
+    After the cells with a higher S_u power (or equal power and higher C power)
+    are removed, the chain A^i S_x^j annihilates every remaining cell except
+    (i, j) itself, so one normalization recovers the harmonic.
+    """
+    m = part.m
+    k, l = part.bidegree()
+    residual = part
+    found: List[Tuple[int, int, SimplicialComponent]] = []
+    cells = sorted(
+        ((i, j) for i in range(l + 1) for j in range(l - i + 1)),
+        key=lambda c: (-c[1], -c[0]),
+    )
+    for i, j in cells:
+        if residual.is_zero():
+            break
+        w = chain(residual, (_A,) * i + (_S_X,) * j)
+        if w.is_zero():
+            continue
+        tk, tl = k - i + j, l - i - j
+        h = w.scaled(1 / ladder_alpha(i, j, i, j, tk, tl, m))
+        comp = SimplicialComponent(LadderIndex(i, j, tk, tl), h)
+        found.append((i, j, comp))
+        residual = residual - comp.embedded()
+    if not residual.is_zero():
+        raise ArithmeticError("sequential peeling left a nonzero residual")
+    return [c for _, _, c in sorted(found, key=lambda t: (t[0], t[1]))]
+
+
+def peel_double_harmonic(p: Polynomial) -> List[SimplicialComponent]:
+    """Ladder cells of a bihomogeneous double harmonic, u-dominant input swapped."""
+    if p.is_zero():
+        return []
+    k, l = p.bidegree()
+    if k >= l:
+        return _peel_dominant(p)
+    return [
+        SimplicialComponent(c.index, c.harmonic.swap_vectors(), mirrored=True)
+        for c in _peel_dominant(p.swap_vectors())
+    ]
+
+
+def peel_full(p: Polynomial) -> DecompositionResult:
+    """Bidegree split, double Fischer split, then the peel on every layer."""
+    entries = [
+        DecompositionEntry(layer.i, layer.j, comp)
+        for _, part in sorted(p.bidegree_split().items())
+        for layer in double_fischer(part)
+        for comp in peel_double_harmonic(layer.part)
+    ]
+    entries.sort(key=lambda e: (e.a, e.b, e.component.index.i, e.component.index.j, e.component.mirrored))
+    return DecompositionResult(p.m, p, tuple(entries))

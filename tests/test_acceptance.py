@@ -35,6 +35,8 @@ from harmonic2v.fischer import double_fischer
 from harmonic2v.operators import mul_inner_ux, mul_normsq_x
 from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic, seeded
 
+from reference import peel_full
+
 
 def _report(number: int, label: str, ok: bool, extra: str = ""):
     status = "PASS" if ok else "FAIL"
@@ -69,8 +71,8 @@ def test_criterion_01_worked_example_normalizers():
     ok = ok and top.harmonic == generator_chain(
         layer, (GeneratorTag.S_X, GeneratorTag.S_X)
     ).scaled(Fraction(1, 40))
-    direct = decompose_full(p, "direct")
-    sequential = decompose_full(p, "sequential")
+    direct = decompose_full(p)
+    sequential = peel_full(p)
     ok = ok and direct.is_exact() and sequential.is_exact()
     ok = ok and [(e.a, e.b, e.component.index) for e in direct.entries] == [
         (e.a, e.b, e.component.index) for e in sequential.entries

@@ -135,15 +135,6 @@ def test_cli_decompose_trivial(capsys):
     assert out["components"][0]["fischer"] == {"a": 0, "b": 0}
 
 
-def test_cli_decompose_strategies_agree(capsys):
-    main(["decompose", "--m", "5", "--poly", "x1^2*u1^2 - u1*x2", "--strategy", "direct"])
-    direct = capsys.readouterr().out
-    main(["decompose", "--m", "5", "--poly", "x1^2*u1^2 - u1*x2", "--strategy", "sequential"])
-    sequential = capsys.readouterr().out
-    d, s = json.loads(direct), json.loads(sequential)
-    assert d["components"] == s["components"]
-
-
 def test_cli_decompose_text_format(capsys):
     code = main(["decompose", "--m", "5", "--poly", "x1*u1", "--format", "text"])
     out = capsys.readouterr().out
@@ -174,6 +165,15 @@ def test_cli_decompose_mirrored_components(capsys):
     assert any(c.get("mirrored") for c in out["components"])
     for c in out["components"]:
         assert c["target"]["k"] >= c["target"]["l"]
+
+
+def test_cli_decompose_has_no_strategy_option(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["decompose", "--m", "5", "--poly", "x1*u1", "--strategy", "sequential"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "unrecognized arguments: --strategy sequential" in stderr
+    assert "Traceback" not in stderr
 
 
 def test_cli_decompose_rejects_small_dimension(capsys):
@@ -275,6 +275,23 @@ def test_cli_arithmetic_error_exit_code(monkeypatch, capsys):
     assert "Traceback" not in stderr
 
 
+def test_cli_poly_file_directory_exit_code(tmp_path, capsys):
+    code = main(["decompose", "--m", "5", "--poly-file", str(tmp_path)])
+    assert code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:") and "Is a directory" in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", str(cli.MAX_MC_SAMPLES + 1), str(10**11)])
+def test_cli_rejects_out_of_range_mc_samples(samples, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["integrate", "--m", "5", "--poly", "x1^2", "--mc-samples", samples])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "argument --mc-samples" in stderr and "Traceback" not in stderr
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["decompose", "--m", "5"])
@@ -315,11 +332,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
             ["decompose", "--m", "5", "--poly", "x1*u2^2 - 2/3*x2*u1*u3 + i*u1^3"],
         ),
         (
-            "decompose_sequential_m6",
-            [
-                "decompose", "--m", "6", "--poly", "x1^2*u1^2 - u1*x2 + 3*x1*x2*u3^2",
-                "--strategy", "sequential",
-            ],
+            "decompose_m6",
+            ["decompose", "--m", "6", "--poly", "x1^2*u1^2 - u1*x2 + 3*x1*x2*u3^2"],
         ),
     ],
 )

@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic2v import (
     GeneratorTag,
@@ -22,13 +24,14 @@ from harmonic2v import (
     verify_component_orthogonality,
 )
 from harmonic2v import transvector
-from harmonic2v.decomp import _master_projection_dominant, is_simplicial
+from harmonic2v.decomp import _master_projection_dominant, _orient, is_simplicial
 from harmonic2v.operators import cross_dd, laplacian_u, laplacian_x, skew_xu
 from harmonic2v.rationals import GAUSSIAN_I
-from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic
+from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic, seeded
 from harmonic2v.transvector import generator_chain
 
 from conftest import one, poly
+from reference import peel_double_harmonic
 
 
 def _cell(hw, i, j):
@@ -354,16 +357,42 @@ def test_decompose_single_skew_cell():
 
 
 def test_strategies_agree(rng):
+    # the direct cell projections against the sequential peel of tests/reference.py
     for m in (5, 6):
-        for _ in range(4):
-            k, l = rng.randint(0, 3), rng.randint(0, 3)
+        draws = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(4)]
+        draws += [(k, rng.randint(k + 1, 3)) for k in (0, rng.randint(1, 2))]
+        for k, l in draws:
             h = random_double_harmonic(m, k, l, rng)
-            direct = decompose_double_harmonic(h, "direct")
-            seq = decompose_double_harmonic(h, "sequential")
+            direct = decompose_double_harmonic(h)
+            seq = peel_double_harmonic(h)
             assert [(c.index, c.mirrored) for c in direct] == [
                 (c.index, c.mirrored) for c in seq
             ]
             assert all(a.harmonic == b.harmonic for a, b in zip(direct, seq))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([5, 6, 7]),
+    st.integers(0, 2).flatmap(lambda k: st.tuples(st.just(k), st.integers(k + 1, 3))),
+    st.integers(0, 2**32 - 1),
+)
+def test_u_dominant_input_is_the_mirror_of_its_swap(m, kl, seed):
+    k, l = kl
+    p = random_double_harmonic(m, k, l, seeded(seed), terms=3)
+    q = p.swap_vectors()
+    assert _orient(p) == (q, True)
+    assert _orient(q) == (q, False)
+    assert master_projection(p) == master_projection(q).swap_vectors()
+    for i in range(k + 1):
+        for j in range(k - i + 1):
+            got, want = project_component(p, i, j), project_component(q, i, j)
+            assert (got.index, got.mirrored, want.mirrored) == (want.index, True, False)
+            assert got.harmonic == want.harmonic.swap_vectors()
+    got, want = decompose_double_harmonic(p), decompose_double_harmonic(q)
+    assert [c.index for c in got] == [c.index for c in want]
+    assert all(c.mirrored for c in got) and not any(c.mirrored for c in want)
+    assert [c.harmonic for c in got] == [c.harmonic.swap_vectors() for c in want]
 
 
 def test_decompose_full_constant():
