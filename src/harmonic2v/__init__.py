@@ -14,7 +14,7 @@ from .errors import (
     ZeroNormalizer,
 )
 from .rationals import GaussianRational, falling, rising
-from .poly import Monomial, Polynomial, variables
+from .poly import Monomial, Polynomial
 from .transvector import (
     GENERATOR_SHIFT,
     GeneratorTag,

@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional
 
-from .decomp import decompose_full
+from .decomp import DecompositionResult, decompose_full
 from .errors import PolySyntaxError, VariableOutOfRange
 from .parser import parse_poly
 from .poly import Polynomial
@@ -53,9 +53,7 @@ def _load_poly(args, m: int) -> Polynomial:
     return parse_poly(text.strip(), m)
 
 
-def _decomposition_document(args) -> dict:
-    p = _load_poly(args, args.m)
-    result = decompose_full(p)
+def _decomposition_document(result: DecompositionResult, check: str) -> dict:
     components = []
     for entry in result.entries:
         idx = entry.component.index
@@ -74,34 +72,33 @@ def _decomposition_document(args) -> dict:
         components.append(component)
     return {
         "schema": SCHEMA,
-        "input": str(p),
-        "m": args.m,
+        "input": str(result.source),
+        "m": result.m,
         "strategy": "direct",  # fixed field of the harmonic2v/1 schema
         "components": components,
-        "reconstruction_check": "exact" if result.is_exact() else "FAILED",
+        "reconstruction_check": check,
     }
 
 
 def cmd_decompose(args) -> int:
-    doc = _decomposition_document(args)
+    result = decompose_full(_load_poly(args, args.m))
+    check = "exact" if result.is_exact() else "FAILED"
     if args.format == "json":
+        doc = _decomposition_document(result, check)
+        del result  # release the harmonics before the large document is encoded
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        print(f"input: {doc['input']}  (m={doc['m']})")
-        for comp in doc["components"]:
-            a, b = comp["fischer"]["a"], comp["fischer"]["b"]
-            i, j = comp["ladder"]["i"], comp["ladder"]["j"]
-            k, l = comp["target"]["k"], comp["target"]["l"]
-            step = "S_x" if comp.get("mirrored") else "S_u"
-            pieces = []
-            for t in comp["harmonic"]:
-                text = t["coeff"] if t["monomial"] == "1" else f"{t['coeff']}*{t['monomial']}"
-                if pieces:
-                    text = ("- " + text[1:]) if text.startswith("-") else ("+ " + text)
-                pieces.append(text)
-            print(f"|x|^{2*a}|u|^{2*b} C^{i} {step}^{j} of H({k},{l}): {' '.join(pieces)}")
-        print(f"reconstruction: {doc['reconstruction_check']}")
-    return 0 if doc["reconstruction_check"] == "exact" else 1
+        # Harmonics print in the --poly grammar, so each line parses back.
+        print(f"input: {result.source}  (m={result.m})")
+        for entry in result.entries:
+            idx = entry.component.index
+            step = "S_x" if entry.component.mirrored else "S_u"
+            print(
+                f"|x|^{2 * entry.a}|u|^{2 * entry.b} C^{idx.i} {step}^{idx.j} "
+                f"of H({idx.k},{idx.l}): {entry.component.harmonic}"
+            )
+        print(f"reconstruction: {check}")
+    return 0 if check == "exact" else 1
 
 
 def cmd_integrate(args) -> int:

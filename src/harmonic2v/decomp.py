@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import IndexOutOfRange, ZeroNormalizer
-from .fischer import double_fischer, mul_norm_powers
+from .fischer import double_fischer, fischer_inner_product, mul_norm_powers
 from .operators import cross_dd, skew_ux, skew_xu
 from .poly import Polynomial
 from .rationals import GAUSSIAN_I, falling, rising
@@ -32,6 +32,7 @@ from .transvector import (
     _require_theory_dimension,
     chain,
     is_double_harmonic,
+    nested_sum,
 )
 
 _A, _C, _S_X, _S_U = GeneratorTag.A, GeneratorTag.C, GeneratorTag.S_X, GeneratorTag.S_U
@@ -203,23 +204,6 @@ def is_simplicial(p: Polynomial, mirrored: bool = False) -> bool:
 # -- master projection ------------------------------------------------------------
 
 
-def _nested_sum(step: GeneratorTag, coeffs: List[Optional[Polynomial]]) -> Optional[Polynomial]:
-    """Horner form of sum_n step^n coeffs[n]: acc <- step(acc) + coeffs[n], n descending.
-
-    ``None`` marks an absent coefficient; the result is ``None`` when the sum
-    is zero.  Each generator step is applied once to the running sum.
-    """
-    acc = None
-    for c in reversed(coeffs):
-        if acc is not None:
-            acc = _apply_generator_unchecked(step, acc)
-            if acc.is_zero():
-                acc = None
-        if c is not None and not c.is_zero():
-            acc = c if acc is None else acc + c
-    return acc
-
-
 def _master_projection_dominant(part: Polynomial) -> Polynomial:
     """Cell (0,0) projection of a bihomogeneous double harmonic with k >= l.
 
@@ -245,10 +229,10 @@ def _master_projection_dominant(part: Polynomial) -> Polynomial:
         sx_pow = _apply_generator_unchecked(_S_X, sx_pow)
     depth = max((len(row) for row in rows), default=0)
     inner = [
-        _nested_sum(_S_U, [row[i] if i < len(row) else None for row in rows])
+        nested_sum(_S_U, [row[i] if i < len(row) else None for row in rows])
         for i in range(depth)
     ]
-    total = _nested_sum(_C, inner)
+    total = nested_sum(_C, inner)
     return Polynomial.zero(m) if total is None else total
 
 
@@ -366,8 +350,6 @@ def decompose_full(p: Polynomial) -> DecompositionResult:
 
 def verify_component_orthogonality(result: DecompositionResult) -> Dict[str, object]:
     """Pairwise Fischer inner products between distinct embedded components."""
-    from .fischer import fischer_inner_product
-
     embedded = [entry.embedded() for entry in result.entries]
     failures = []
     for i in range(len(embedded)):

@@ -17,7 +17,7 @@ from .errors import DimensionMismatch
 from .operators import laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x
 from .poly import Polynomial, exponents
 from .rationals import GaussianRational, rising
-from .transvector import chain, extremal_projection_s, extremal_projection_u, extremal_projection_x
+from .transvector import GeneratorTag, _axis, _pi_axis, apply_generator, chain, extremal_projection_s
 
 
 def mul_norm_powers(p: Polynomial, a: int, b: int) -> Polynomial:
@@ -40,7 +40,8 @@ class DoubleFischerComponent:
 def sphere_fischer_project(p: Polynomial, s: int, axis: str = "x") -> Polynomial:
     """The |v|^{2s}-harmonic layer of a bihomogeneous polynomial (v = x or u).
 
-    Returns |v|^{2s} H with H harmonic in v; summing over s recovers p.
+    Returns |v|^{2s} H with H harmonic in v; summing over s recovers p.  The
+    image Delta_v^s p is bihomogeneous, so it is projected directly.
     """
     if s < 0:
         raise ValueError("layer index must be non-negative")
@@ -49,17 +50,13 @@ def sphere_fischer_project(p: Polynomial, s: int, axis: str = "x") -> Polynomial
         return p
     if bid is None:
         raise ValueError("input must be bihomogeneous")
-    k = bid[0] if axis == "x" else bid[1]
-    lap = laplacian_x if axis == "x" else laplacian_u
-    mul_norm = mul_normsq_x if axis == "x" else mul_normsq_u
-    pi = extremal_projection_x if axis == "x" else extremal_projection_u
-
+    lap, mul_normsq, slot = _axis(axis)
     q = chain(p, (lap,) * s)
     if q.is_zero():
         return q
     # Gamma(E + m/2 - 2s) / Gamma(E + m/2 - s) at the (degree-neutral) image.
-    scale = Fraction(1, 4**s * factorial(s)) / rising(Fraction(k) + Fraction(p.m, 2) - 2 * s, s)
-    return chain(pi(q), (mul_norm,) * s).scaled(scale)
+    scale = Fraction(1, 4**s * factorial(s)) / rising(Fraction(bid[slot]) + Fraction(p.m, 2) - 2 * s, s)
+    return chain(_pi_axis(q, axis), (mul_normsq,) * s).scaled(scale)
 
 
 def _pi_ij(p: Polynomial, i: int, j: int) -> Polynomial:
@@ -158,8 +155,6 @@ def verify_adjoints(pairs: Sequence[Tuple[Polynomial, Polynomial]]) -> Dict[str,
     Pairs may be arbitrary polynomials: the projection check uses them as-is,
     the generator checks use their double-harmonic parts.
     """
-    from .transvector import GeneratorTag, apply_generator
-
     report: Dict[str, List[bool]] = {"C_dagger_A": [], "S_u_dagger_S_x": [], "pi_s_selfadjoint": []}
     for p, q in pairs:
         report["pi_s_selfadjoint"].append(

@@ -407,7 +407,7 @@ class Polynomial:
         if not self._terms:
             return "0"
         chunks = []
-        for mono, coeff in sorted(self.terms(), key=lambda t: t[0].sort_key(), reverse=True):
+        for mono, coeff in reversed(list(self.terms())):
             chunks.append(_render_term(mono, coeff, first=not chunks))
         return "".join(chunks)
 
@@ -473,10 +473,3 @@ def _render_term(mono: Monomial, coeff: GaussianRational, first: bool) -> str:
     if first:
         return ("-" if neg else "") + body
     return (" - " if neg else " + ") + body
-
-
-def variables(m: int):
-    """All 2m variables as polynomials: ([x1..xm], [u1..um])."""
-    xs = [Polynomial.variable(m, "x", i) for i in range(1, m + 1)]
-    us = [Polynomial.variable(m, "u", i) for i in range(1, m + 1)]
-    return xs, us

@@ -87,9 +87,6 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.of(other) / self
 
-    def to_complex(self) -> complex:
-        return float(self.re) + 1j * float(self.im)
-
     def __str__(self) -> str:
         if not self.im:
             return str(self.re)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .decomp import master_projection
 from .poly import Monomial, Polynomial
 from .rationals import GaussianRational
 from .transvector import extremal_projection_s
@@ -70,8 +71,6 @@ def random_simplicial(
     terms: int = 4,
 ) -> Polynomial:
     """A random nonzero simplicial harmonic of weight (k, l), k >= l."""
-    from .decomp import master_projection
-
     while True:
         h = master_projection(random_double_harmonic(m, k, l, rng, terms))
         if not h.is_zero():

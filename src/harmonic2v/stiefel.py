@@ -22,7 +22,7 @@ from .fischer import _pi_ij, mul_norm_powers
 from .operators import cross_dd, laplacian_x, mul_inner_ux
 from .poly import Polynomial, exponents
 from .rationals import GaussianRational, rising, rising_ext
-from .transvector import _require_theory_dimension, chain
+from .transvector import _require_theory_dimension, chain, nested_sum
 
 
 @dataclass(frozen=True)
@@ -76,19 +76,20 @@ def c_power_one(beta: int, m: int) -> Polynomial:
     """The zonal double harmonic C^beta[1], via its Gegenbauer closed form.
 
     Equals the creation generator iterated beta times on the constant 1; the
-    leading <u,x>^beta term is monic and odd beta has no constant term.
+    leading <u,x>^beta term is monic and odd beta has no constant term.  The
+    series sum_n c_n |x|^{beta-n} |u|^{beta-n} <u,x>^n is summed in nested
+    form, so <u,x> multiplies the running sum beta times in all.
     """
     _require_theory_dimension(m)
     if beta < 0:
         raise ValueError("power must be non-negative")
     lam = Fraction(m, 2) - 1
     prefactor = Fraction(factorial(beta)) / (Fraction(2) ** beta * rising(lam, beta))
-    total = Polynomial.zero(m)
+    coeffs: List[Optional[Polynomial]] = [None] * (beta + 1)
     for degree, coeff in gegenbauer(beta, lam).items():
         j = (beta - degree) // 2
-        term = chain(Polynomial.constant(m, prefactor * coeff), (mul_inner_ux,) * degree)
-        total = total + mul_norm_powers(term, j, j)
-    return total
+        coeffs[degree] = mul_norm_powers(Polynomial.constant(m, prefactor * coeff), j, j)
+    return nested_sum(mul_inner_ux, coeffs)
 
 
 def a_c_power_constant(beta: int, m: int) -> Fraction:

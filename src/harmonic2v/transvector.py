@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .errors import NotDoubleHarmonic
 from .operators import (
@@ -59,34 +59,43 @@ def _check_double_harmonic(p: Polynomial):
 # -- extremal projections ------------------------------------------------------
 
 
+def _axis(axis: str):
+    """(Laplacian, |v|^2 multiplier, bidegree slot) of the vector variable v = x or u.
+
+    The functions are looked up when called, so rebinding a module name (as a
+    tracer does) reaches every caller.
+    """
+    if axis == "x":
+        return laplacian_x, mul_normsq_x, 0
+    if axis == "u":
+        return laplacian_u, mul_normsq_u, 1
+    raise ValueError(f"axis must be 'x' or 'u', got {axis!r}")
+
+
 def _pi_axis(part: Polynomial, axis: str) -> Polynomial:
     """One-variable extremal projection applied to a bihomogeneous part.
 
-    The series 1 + sum_j (1/(4^j j!)) Gamma(H+2)/Gamma(H+2+j) |v|^{2j} Delta_v^j
-    truncates once Delta_v^j kills the part; every factor H + t is evaluated at
-    the part's own degree since the chain is degree-neutral.
+    The series sum_j c_j |v|^{2j} Delta_v^j part, with c_0 = 1 and
+    c_j = c_{j-1} / (4 j (H + 1 + j)) = (1/(4^j j!)) Gamma(H+2)/Gamma(H+2+j),
+    truncates once Delta_v^j kills the part; every factor H + t is evaluated
+    at the part's own degree since each term is degree-neutral.  It is summed
+    in nested form, part + |v|^2 (c_1 Delta_v part + |v|^2 (c_2 Delta_v^2 part
+    + ...)), so |v|^2 multiplies the running sum once per term after the first.
     """
     if part.is_zero():
         return part
-    m = part.m
-    kx, ku = part.bidegree()
-    deg = kx if axis == "x" else ku
-    lap = laplacian_x if axis == "x" else laplacian_u
-    mul_norm = mul_normsq_x if axis == "x" else mul_normsq_u
-    h = -(Fraction(deg) + Fraction(m, 2))
-
-    total = part
-    q = part
+    lap, mul_normsq, slot = _axis(axis)
+    h = -(Fraction(part.bidegree()[slot]) + Fraction(part.m, 2))
+    terms = [part]
     coeff = Fraction(1)
-    j = 0
-    while True:
-        j += 1
-        q = lap(q)
-        if q.is_zero():
-            break
+    q = lap(part)
+    while not q.is_zero():
+        j = len(terms)
         coeff /= 4 * j * (h + 1 + j)
-        total = total + chain(q, (mul_norm,) * j).scaled(coeff)
-    return total
+        terms.append(q.scaled(coeff))
+        q = lap(q)
+    total = nested_sum(mul_normsq, terms)
+    return Polynomial.zero(part.m) if total is None else total
 
 
 def _per_part(p: Polynomial, fn) -> Polynomial:
@@ -175,6 +184,27 @@ def chain(p: Polynomial, steps: Sequence) -> Polynomial:
             break
         p = _apply_generator_unchecked(step, p) if isinstance(step, GeneratorTag) else step(p)
     return p
+
+
+def nested_sum(step, coeffs: Sequence[Optional[Polynomial]]) -> Optional[Polynomial]:
+    """Horner form of sum_n step^n coeffs[n]: acc <- step(acc) + coeffs[n], n descending.
+
+    ``step`` is a linear atom function or a ``GeneratorTag``, applied through
+    ``chain`` once per index below the highest present coefficient, to the
+    running sum rather than to each term; a generator acts on each bidegree
+    part of that sum.  ``None`` marks an absent coefficient and is returned
+    when no term survives; a sum that cancels in its last addition comes back
+    as the zero polynomial.
+    """
+    acc = None
+    for c in reversed(coeffs):
+        if acc is not None:
+            acc = chain(acc, (step,))
+            if acc.is_zero():
+                acc = None
+        if c is not None and not c.is_zero():
+            acc = c if acc is None else acc + c
+    return acc
 
 
 def generator_chain(p: Polynomial, tags: Sequence[GeneratorTag]) -> Polynomial:

@@ -1,13 +1,18 @@
-"""Sequential peel: a reference decomposition for the tests.
+"""Reference routes for the tests: the sequential peel and the term-by-term
+extremal projection.
 
-It shares the library's building blocks (``double_fischer``, the generators
-and ``ladder_alpha``) but not its projections: instead of projecting every
-cell straight from the layer, it peels cells off one at a time and subtracts
-each embedded component before the next.  Agreement with ``decompose_full``
-therefore checks the master projection and the cell weights against a
-different route to the same components.
+The peel shares the library's building blocks (``double_fischer``, the
+generators and ``ladder_alpha``) but not its projections: instead of
+projecting every cell straight from the layer, it peels cells off one at a
+time and subtracts each embedded component before the next.  Agreement with
+``decompose_full`` therefore checks the master projection and the cell
+weights against a different route to the same components.
+
+The term-by-term projection builds each term c_j |v|^{2j} Delta_v^j of the
+extremal series separately, where the library sums the series in nested form.
 """
 
+from fractions import Fraction
 from typing import List, Tuple
 
 from harmonic2v import GeneratorTag, Polynomial, double_fischer, ladder_alpha
@@ -17,6 +22,7 @@ from harmonic2v.decomp import (
     LadderIndex,
     SimplicialComponent,
 )
+from harmonic2v.operators import laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x
 from harmonic2v.transvector import chain
 
 _A, _S_X = GeneratorTag.A, GeneratorTag.S_X
@@ -76,3 +82,34 @@ def peel_full(p: Polynomial) -> DecompositionResult:
     ]
     entries.sort(key=lambda e: (e.a, e.b, e.component.index.i, e.component.index.j, e.component.mirrored))
     return DecompositionResult(p.m, p, tuple(entries))
+
+
+def _pi_axis_termwise(part: Polynomial, axis: str) -> Polynomial:
+    """sum_j (1/(4^j j!)) Gamma(H+2)/Gamma(H+2+j) |v|^{2j} Delta_v^j part, term by term."""
+    if part.is_zero():
+        return part
+    k, l = part.bidegree()
+    deg, lap, mul_norm = (k, laplacian_x, mul_normsq_x) if axis == "x" else (l, laplacian_u, mul_normsq_u)
+    h = -(Fraction(deg) + Fraction(part.m, 2))
+    total = part
+    q = part
+    coeff = Fraction(1)
+    j = 0
+    while True:
+        j += 1
+        q = lap(q)
+        if q.is_zero():
+            break
+        coeff /= 4 * j * (h + 1 + j)
+        total = total + chain(q, (mul_norm,) * j).scaled(coeff)
+    return total
+
+
+def extremal_projection_termwise(p: Polynomial, axes: str) -> Polynomial:
+    """Apply the one-variable projections named by ``axes``, leftmost first, per bidegree part."""
+    total = Polynomial.zero(p.m)
+    for part in p.bidegree_split().values():
+        for axis in axes:
+            part = _pi_axis_termwise(part, axis)
+        total = total + part
+    return total

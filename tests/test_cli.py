@@ -10,6 +10,7 @@ from harmonic2v import (
     Polynomial,
     PolySyntaxError,
     VariableOutOfRange,
+    decompose_full,
     parse_poly,
 )
 from harmonic2v import cli
@@ -140,6 +141,25 @@ def test_cli_decompose_text_format(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "reconstruction: exact" in out
+
+
+@pytest.mark.parametrize(
+    "m, text",
+    [
+        (5, "(-1-i)*x1*u2 + (3-2*i)*x2*u1"),
+        (6, "x1^2*u2 + i*u1 - 2/3*x1*x2*u1^2*u3"),
+        (5, "(1/2-3*i)*x1*u1^2*u2 - x2*u3^3"),
+    ],
+)
+def test_cli_decompose_text_lines_parse_back(m, text, capsys):
+    code = main(["decompose", "--m", str(m), "--poly", text, "--format", "text"])
+    lines = capsys.readouterr().out.splitlines()
+    entries = decompose_full(parse_poly(text, m)).entries
+    assert code == 0
+    assert lines[-1] == "reconstruction: exact"
+    assert len(lines) == len(entries) + 2
+    for line, entry in zip(lines[1:-1], entries):
+        assert parse_poly(line.split(": ", 1)[1], m) == entry.component.harmonic
 
 
 def test_cli_decompose_deterministic(capsys):

@@ -26,6 +26,7 @@ from harmonic2v import (
 from harmonic2v import transvector
 from harmonic2v.decomp import _master_projection_dominant, _orient, is_simplicial
 from harmonic2v.operators import cross_dd, laplacian_u, laplacian_x, skew_xu
+from harmonic2v.poly import Monomial
 from harmonic2v.rationals import GAUSSIAN_I
 from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic, seeded
 from harmonic2v.transvector import generator_chain
@@ -426,6 +427,44 @@ def test_all_emitted_harmonics_are_simplicial(rng):
     p = random_bihomogeneous(m, 3, 2, rng) + random_bihomogeneous(m, 2, 3, rng)
     for entry in decompose_full(p).entries:
         assert is_simplicial(entry.component.harmonic, entry.component.mirrored)
+
+
+def _signed_permutation(p, perm, signs):
+    """p with x_i -> signs[i] x_perm[i] and u_i -> signs[i] u_perm[i]: an O(m) change of variables."""
+    m = p.m
+    out = {}
+    for mono, coeff in p.terms():
+        xe, ue, sign = [0] * m, [0] * m, 1
+        for i in range(m):
+            xe[perm[i]], ue[perm[i]] = mono.xexp[i], mono.uexp[i]
+            if signs[i] < 0 and (mono.xexp[i] + mono.uexp[i]) % 2:
+                sign = -sign
+        out[Monomial(tuple(xe), tuple(ue))] = coeff * sign
+    return Polynomial(m, out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=2),
+    st.permutations(range(5)),
+    st.lists(st.sampled_from([1, -1]), min_size=5, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_decompose_full_properties(bidegrees, perm, signs, seed):
+    m = 5
+    rng = seeded(seed)
+    p = Polynomial.zero(m)
+    for k, l in bidegrees:
+        p = p + random_bihomogeneous(m, k, l, rng, terms=3)
+    result = decompose_full(p)
+    assert result.is_exact()
+    assert verify_component_orthogonality(result)["passed"]
+    moved = decompose_full(_signed_permutation(p, perm, signs))
+    labels = [(e.a, e.b, e.component.index, e.component.mirrored) for e in result.entries]
+    assert [(e.a, e.b, e.component.index, e.component.mirrored) for e in moved.entries] == labels
+    assert [e.component.harmonic for e in moved.entries] == [
+        _signed_permutation(e.component.harmonic, perm, signs) for e in result.entries
+    ]
 
 
 def test_component_count_matches_tensor_multiplicities(rng):

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from harmonic2v import (
     GaussianRational,
     GeneratorTag,
@@ -42,8 +44,15 @@ def test_sphere_fischer_layers_sum_to_input(rng):
             p = random_bihomogeneous(m, 4, rng.randint(0, 2), rng)
             total = Polynomial.zero(m)
             for s in range(3):
-                total = total + sphere_fischer_project(p, s, "x")
+                layer = sphere_fischer_project(p, s, "x")
+                assert sphere_fischer_project(p.swap_vectors(), s, "u") == layer.swap_vectors()
+                total = total + layer
             assert total == p
+
+
+def test_sphere_fischer_rejects_an_unknown_axis():
+    with pytest.raises(ValueError, match="axis"):
+        sphere_fischer_project(poly("x1^2*u1", 5), 1, "y")
 
 
 def test_double_fischer_of_x1_squared():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic2v import (
     GeneratorTag,
@@ -12,11 +14,13 @@ from harmonic2v import (
     extremal_projection_x,
     verify_quadratic_relations,
 )
-from harmonic2v.operators import laplacian_u, laplacian_x, mul_normsq_u
-from harmonic2v.sampling import random_double_harmonic, random_polynomial
-from harmonic2v.transvector import chain, generator_chain, is_double_harmonic
+from harmonic2v import transvector
+from harmonic2v.operators import laplacian_u, laplacian_x, mul_inner_ux, mul_normsq_u, mul_normsq_x
+from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic, random_polynomial, seeded
+from harmonic2v.transvector import chain, generator_chain, is_double_harmonic, nested_sum
 
 from conftest import inner_ux, normsq_x, one, poly
+from reference import extremal_projection_termwise
 
 
 def test_projection_of_x1_squared():
@@ -79,6 +83,77 @@ def test_projection_s_on_x1sq_u1sq():
     from harmonic2v.fischer import _pi_ij
 
     assert ps == _pi_ij(p, 0, 0)
+
+
+# -- nested series ------------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([1, 3, 5, 8]),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_extremal_projections_match_term_by_term(m, parts, seed):
+    # parts: (k, l, harmonic); a harmonic part is the reference's own projection
+    rng = seeded(seed)
+    p = Polynomial.zero(m)
+    for k, l, harmonic in parts:
+        part = random_bihomogeneous(m, k, l, rng, terms=3)
+        p = p + (extremal_projection_termwise(part, "ux") if harmonic else part)
+    assert extremal_projection_x(p) == extremal_projection_termwise(p, "x")
+    assert extremal_projection_u(p) == extremal_projection_termwise(p, "u")
+    assert extremal_projection_s(p) == extremal_projection_termwise(p, "ux")
+
+
+@pytest.mark.parametrize("axis", ["x", "u"])
+def test_pi_axis_multiplies_by_the_norm_once_per_term(axis, monkeypatch):
+    m = 5
+    part = poly("x1^6*u1*u2 + (2-i)*x1^2*x2^4*u3^2 - x1*x2*x3*x5^3*u4^2", m)
+    if axis == "u":
+        part = part.swap_vectors()
+    lap = laplacian_x if axis == "x" else laplacian_u
+    length, q = 0, part
+    while not q.is_zero():
+        length, q = length + 1, lap(q)
+    assert length == 4
+    name = "mul_normsq_x" if axis == "x" else "mul_normsq_u"
+    original = getattr(transvector, name)
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return original(q)
+
+    monkeypatch.setattr(transvector, name, counted)
+    got = transvector._pi_axis(part, axis)
+    assert len(calls) <= length - 1
+    monkeypatch.undo()
+    assert got == extremal_projection_termwise(part, axis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([mul_inner_ux, mul_normsq_x, laplacian_u, GeneratorTag.C]),
+    st.lists(st.sampled_from(["none", "zero", "poly"]), min_size=0, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_nested_sum_matches_the_direct_sum(step, kinds, seed):
+    rng = seeded(seed)
+    m = 5
+    coeffs = [
+        None if kind == "none" else Polynomial.zero(m) if kind == "zero" else random_polynomial(m, 2, 2, rng)
+        for kind in kinds
+    ]
+    direct = Polynomial.zero(m)
+    for n, c in enumerate(coeffs):
+        if c is not None:
+            direct = direct + chain(c, (step,) * n)
+    got = nested_sum(step, coeffs)
+    if got is None:
+        assert direct.is_zero()
+    else:
+        assert got == direct
 
 
 def test_generator_examples():
