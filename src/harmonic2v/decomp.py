@@ -146,7 +146,7 @@ def projection_weight(i: int, j: int, k: int, l: int, m: int) -> Fraction:
         * falling(k + l + m - 4, i)
         * rising(k - l + 2, j)
     )
-    if not den or not falling(big_l - 3, i) or not falling(k + l + m - 4, i):
+    if not den:
         raise ZeroNormalizer(f"projection weight denominator vanishes at (i,j)=({i},{j})")
     sign = -1 if (i + j) % 2 else 1
     return Fraction(sign, factorial(i) * factorial(j)) * num / den
@@ -340,7 +340,7 @@ def decompose_full(p: Polynomial) -> DecompositionResult:
     """Two-stage pipeline: double Fischer split, then ladder decomposition."""
     _require_theory_dimension(p.m)
     entries: List[DecompositionEntry] = []
-    for _, part in sorted(p.bidegree_split().items()):
+    for part in p.bidegree_split().values():
         for layer in double_fischer(part):
             for comp in decompose_double_harmonic(layer.part):
                 entries.append(DecompositionEntry(layer.i, layer.j, comp))

@@ -37,6 +37,12 @@ class DoubleFischerComponent:
         return mul_norm_powers(self.part, self.i, self.j)
 
 
+def _layer_scale(degree: int, m: int, s: int) -> Fraction:
+    """1 / (4^s s! (degree + m/2 - 2s)^(s)), the scalar of the |v|^{2s} Fischer
+    layer |v|^{2s} pi_v Delta_v^s p of a p of degree ``degree`` in v."""
+    return 1 / (4**s * factorial(s) * rising(Fraction(degree) + Fraction(m, 2) - 2 * s, s))
+
+
 def sphere_fischer_project(p: Polynomial, s: int, axis: str = "x") -> Polynomial:
     """The |v|^{2s}-harmonic layer of a bihomogeneous polynomial (v = x or u).
 
@@ -54,9 +60,7 @@ def sphere_fischer_project(p: Polynomial, s: int, axis: str = "x") -> Polynomial
     q = chain(p, (lap,) * s)
     if q.is_zero():
         return q
-    # Gamma(E + m/2 - 2s) / Gamma(E + m/2 - s) at the (degree-neutral) image.
-    scale = Fraction(1, 4**s * factorial(s)) / rising(Fraction(bid[slot]) + Fraction(p.m, 2) - 2 * s, s)
-    return chain(_pi_axis(q, axis), (mul_normsq,) * s).scaled(scale)
+    return chain(_pi_axis(q, axis), (mul_normsq,) * s).scaled(_layer_scale(bid[slot], p.m, s))
 
 
 def _pi_ij(p: Polynomial, i: int, j: int) -> Polynomial:
@@ -65,11 +69,7 @@ def _pi_ij(p: Polynomial, i: int, j: int) -> Polynomial:
     if q.is_zero():
         return q
     k, l = p.bidegree()
-    m = p.m
-    scale = Fraction(1, 4 ** (i + j) * factorial(i) * factorial(j))
-    scale /= rising(Fraction(k) + Fraction(m, 2) - 2 * i, i)
-    scale /= rising(Fraction(l) + Fraction(m, 2) - 2 * j, j)
-    return extremal_projection_s(q).scaled(scale)
+    return extremal_projection_s(q).scaled(_layer_scale(k, p.m, i) * _layer_scale(l, p.m, j))
 
 
 def double_fischer(p: Polynomial) -> List[DoubleFischerComponent]:

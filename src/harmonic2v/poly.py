@@ -162,19 +162,6 @@ class Polynomial:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, m: int, terms: Dict[Tuple[int, ...], Tuple[int, int]], den: int) -> "Polynomial":
-        """Build from exponent tuples of length 2m (x-part then u-part) mapped to
-        Gaussian-integer numerators over the shared denominator ``den``."""
-        if m < 1:
-            raise DimensionMismatch(f"ambient dimension must be >= 1, got {m}")
-        packed: RawTerms = {}
-        for e, ab in terms.items():
-            if len(e) != 2 * m:
-                raise DimensionMismatch(f"exponent tuple of length {len(e)} for m={m}")
-            packed[_checked_key(e)] = ab
-        return cls._packed(m, packed, den)
-
-    @classmethod
     def _packed(cls, m: int, terms: RawTerms, den: int) -> "Polynomial":
         """Build from an owned dict keyed by packed monomial keys."""
         terms, den = _normalize(terms, den)

@@ -97,8 +97,6 @@ class GaussianRational:
         return f"{self.re}{sign}{imag}"
 
 
-GAUSSIAN_ZERO = GaussianRational()
-GAUSSIAN_ONE = GaussianRational(Fraction(1))
 GAUSSIAN_I = GaussianRational(Fraction(0), Fraction(1))
 
 

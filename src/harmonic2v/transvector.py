@@ -72,6 +72,11 @@ def _axis(axis: str):
     raise ValueError(f"axis must be 'x' or 'u', got {axis!r}")
 
 
+def _h_x(k: int, m: int) -> Fraction:
+    """H_v = -(k + m/2) on polynomials of degree k in v (= x or u)."""
+    return -(Fraction(k) + Fraction(m, 2))
+
+
 def _pi_axis(part: Polynomial, axis: str) -> Polynomial:
     """One-variable extremal projection applied to a bihomogeneous part.
 
@@ -85,7 +90,7 @@ def _pi_axis(part: Polynomial, axis: str) -> Polynomial:
     if part.is_zero():
         return part
     lap, mul_normsq, slot = _axis(axis)
-    h = -(Fraction(part.bidegree()[slot]) + Fraction(part.m, 2))
+    h = _h_x(part.bidegree()[slot], part.m)
     terms = [part]
     coeff = Fraction(1)
     q = lap(part)
@@ -99,6 +104,9 @@ def _pi_axis(part: Polynomial, axis: str) -> Polynomial:
 
 
 def _per_part(p: Polynomial, fn) -> Polynomial:
+    """fn on a bihomogeneous p as a whole, else the sum of fn over its bidegree parts."""
+    if p.bidegree() is not None:
+        return fn(p)
     total = Polynomial.zero(p.m)
     for part in p.bidegree_split().values():
         total = total + fn(part)
@@ -158,10 +166,7 @@ _GEN_FUNC = {
 
 
 def _apply_generator_unchecked(tag: GeneratorTag, p: Polynomial) -> Polynomial:
-    fn = _GEN_FUNC[tag]
-    if p.bidegree() is not None:
-        return fn(p)
-    return _per_part(p, fn)
+    return _per_part(p, _GEN_FUNC[tag])
 
 
 def apply_generator(tag: GeneratorTag, p: Polynomial) -> Polynomial:
@@ -218,10 +223,6 @@ def generator_chain(p: Polynomial, tags: Sequence[GeneratorTag]) -> Polynomial:
 # -- quadratic relations --------------------------------------------------------
 
 RelationReport = Dict[str, List[bool]]
-
-
-def _h_x(k: int, m: int) -> Fraction:
-    return -(Fraction(k) + Fraction(m, 2))
 
 
 def _relation_residuals(p: Polynomial) -> Dict[str, Polynomial]:

@@ -1,5 +1,5 @@
-"""Reference routes for the tests: the sequential peel and the term-by-term
-extremal projection.
+"""Reference routes for the tests: the sequential peel, the term-by-term
+extremal projection and the fibration integral over V_2(R^m).
 
 The peel shares the library's building blocks (``double_fischer``, the
 generators and ``ladder_alpha``) but not its projections: instead of
@@ -10,19 +10,24 @@ weights against a different route to the same components.
 
 The term-by-term projection builds each term c_j |v|^{2j} Delta_v^j of the
 extremal series separately, where the library sums the series in nested form.
+
+The fibration integral averages u over the sphere of x^perp and then x over
+S^{m-1}, with Pizzetti's formula on each sphere; it shares no code with the
+library's Stiefel path (``gamma_constant``, ``_pi_ij``, ``cross_dd``).
 """
 
 from fractions import Fraction
+from math import factorial, prod
 from typing import List, Tuple
 
-from harmonic2v import GeneratorTag, Polynomial, double_fischer, ladder_alpha
+from harmonic2v import GaussianRational, GeneratorTag, Polynomial, double_fischer, ladder_alpha, sphere_integrate
 from harmonic2v.decomp import (
     DecompositionEntry,
     DecompositionResult,
     LadderIndex,
     SimplicialComponent,
 )
-from harmonic2v.operators import laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x
+from harmonic2v.operators import laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x, skew_xu
 from harmonic2v.transvector import chain
 
 _A, _S_X = GeneratorTag.A, GeneratorTag.S_X
@@ -76,7 +81,7 @@ def peel_full(p: Polynomial) -> DecompositionResult:
     """Bidegree split, double Fischer split, then the peel on every layer."""
     entries = [
         DecompositionEntry(layer.i, layer.j, comp)
-        for _, part in sorted(p.bidegree_split().items())
+        for part in p.bidegree_split().values()
         for layer in double_fischer(part)
         for comp in peel_double_harmonic(layer.part)
     ]
@@ -113,3 +118,25 @@ def extremal_projection_termwise(p: Polynomial, axes: str) -> Polynomial:
             part = _pi_axis_termwise(part, axis)
         total = total + part
     return total
+
+
+def stiefel_fibration_integral(p: Polynomial) -> GaussianRational:
+    """Normalized integral of p over V_2(R^m), fibred over the first vector.
+
+    For fixed unit x, u is uniform on the unit sphere of x^perp, whose Laplacian
+    is Delta_u - <x, d_u>^2.  Pizzetti's formula in n = m - 1 dimensions averages
+    a part of u-degree 2h as that Laplacian applied h times, over
+    2^h h! prod_{t<h} (n + 2t); odd u-degree averages to zero.  The x-polynomial
+    left over is averaged over S^{m-1}: its sphere integral over the area.
+    """
+    m = p.m
+    total = GaussianRational()
+    for (_, l), part in p.bidegree_split().items():
+        if l % 2:
+            continue
+        h = l // 2
+        for _ in range(h):
+            part = laplacian_u(part) - skew_xu(skew_xu(part))
+        den = 2**h * factorial(h) * prod(m - 1 + 2 * t for t in range(h))
+        total = total + sphere_integrate(part).coefficient * Fraction(1, den)
+    return total / sphere_integrate(Polynomial.constant(m, 1)).coefficient

@@ -8,6 +8,7 @@ from fractions import Fraction
 from harmonic2v import (
     GaussianRational,
     GeneratorTag,
+    Monomial,
     Polynomial,
     c_power_one,
     decompose_full,
@@ -285,7 +286,7 @@ def test_criterion_10_pizzetti_vs_monte_carlo():
     exact = {}
     classes = {}
     for e in monos:
-        p = Polynomial._raw(m, {e: (1, 0)}, 1)
+        p = Polynomial(m, {Monomial(e[:m], e[m:]): 1})
         exact[e] = stiefel_integrate(p).pizzetti_value
         classes.setdefault(_canonical_class(e, m), []).append(e)
     for members in classes.values():
@@ -294,7 +295,7 @@ def test_criterion_10_pizzetti_vs_monte_carlo():
 
     # Monte Carlo cross-check of one representative per class, shared frames
     reps = [members[0] for members in classes.values()]
-    polys = [Polynomial._raw(m, {e: (1, 0)}, 1) for e in reps]
+    polys = [Polynomial(m, {Monomial(e[:m], e[m:]): 1}) for e in reps]
     results = monte_carlo_many(polys, 1_000_000, seed=0)
     worst = 0.0
     for e, (est, err) in zip(reps, results):

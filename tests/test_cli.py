@@ -313,9 +313,10 @@ def test_cli_rejects_out_of_range_mc_samples(samples, capsys):
 
 
 def test_cli_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["decompose", "--m", "5"])
-    assert err.value.code == 2
+    for argv in (["decompose", "--m", "5"], ["integrate", "--m", "5"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -325,6 +326,8 @@ def test_cli_usage_error_exit_code():
         ["verify", "--suite", "orthogonality", "--max-bidegree", "-1"],
         ["verify", "--suite", "pizzetti", "--max-bidegree", "-1"],
         ["verify", "--suite", "relations", "--m", "0"],
+        ["verify", "--suite", "orthogonality", "--max-bidegree", str(cli.MAX_VERIFY_BIDEGREE + 1)],
+        ["verify", "--suite", "relations", "--max-bidegree", str(10**6)],
     ],
 )
 def test_cli_rejects_out_of_range_arguments(argv, capsys):

@@ -176,4 +176,4 @@ def test_construction_at_the_limit_and_one_past():
     with pytest.raises(ExponentOutOfRange):
         Monomial((MAX_TERM_DEGREE, 0), (0, 1))
     with pytest.raises(ExponentOutOfRange):
-        Polynomial._raw(m, {(MAX_TERM_DEGREE + 1, 0, 0, 0): (1, 0)}, 1)
+        Polynomial(m, {Monomial((MAX_TERM_DEGREE + 1, 0), (0, 0)): 1})

@@ -94,16 +94,6 @@ def test_monomial_rejects_bad_exponents(xexp, uexp):
     assert issubclass(ExponentOutOfRange, ValueError)
 
 
-def test_raw_rejects_bad_dimensions():
-    with pytest.raises(DimensionMismatch):
-        Polynomial._raw(0, {(): (1, 0)}, 1)
-    with pytest.raises(DimensionMismatch):
-        Polynomial._raw(5, {(1,) * 9: (1, 0)}, 1)
-    with pytest.raises(DimensionMismatch):
-        Polynomial._raw(2, {(1, 0): (1, 0)}, 1)
-    assert Polynomial._raw(1, {(1, 0): (1, 0)}, 1) == poly("x1", 1)
-
-
 def test_coefficient_access():
     p = poly("1/2*x1^2 - i*u3", 5)
     assert p.coefficient(Monomial((2, 0, 0, 0, 0), (0,) * 5)) == GaussianRational(Fraction(1, 2))

@@ -5,6 +5,7 @@ import pytest
 from harmonic2v import (
     GaussianRational,
     GeneratorTag,
+    Monomial,
     Polynomial,
     a_c_power_constant,
     c_power_one,
@@ -18,10 +19,11 @@ from harmonic2v import (
     stiefel_monte_carlo,
 )
 from harmonic2v.operators import mul_inner_ux, mul_normsq_u, mul_normsq_x
-from harmonic2v.sampling import random_bihomogeneous
+from harmonic2v.sampling import random_bihomogeneous, random_coefficient, random_polynomial
 from harmonic2v.stiefel import _chunk_plan, _haar_frames, _eval_on_frames
 
 from conftest import inner_ux, normsq_u, normsq_x, one, poly
+from reference import stiefel_fibration_integral
 
 
 def test_gegenbauer_low_degrees():
@@ -204,6 +206,35 @@ def test_stiefel_matches_sphere_marginal():
     for expr in ["x1^2", "x1^4", "x1^2*x2^2", "x1^4*x2^2", "x1^6", "x1^2*x2^2*x3^2"]:
         p = poly(expr, m)
         assert stiefel_integrate(p).pizzetti_value == sphere_integrate(p).coefficient / area
+
+
+def _even_exponent_draw(m, rng, terms=3):
+    """Real combination of monomials with every exponent even, bidegree <= (8, 8)."""
+    k, l = rng.randint(0, 4), rng.randint(0, 4)
+    data = {}
+    for _ in range(terms):
+        xe, ue = [0] * m, [0] * m
+        for _ in range(k):
+            xe[rng.randrange(m)] += 2
+        for _ in range(l):
+            ue[rng.randrange(m)] += 2
+        data[Monomial(tuple(xe), tuple(ue))] = random_coefficient(rng, complex_coeff=False)
+    return Polynomial(m, data)
+
+
+def test_stiefel_matches_fibration_oracle(rng):
+    even = [_even_exponent_draw(rng.randint(5, 8), rng) for _ in range(40)]
+    mixed = []
+    for _ in range(40):
+        m = rng.randint(5, 8)
+        tail = random_bihomogeneous(m, 2 * rng.randint(0, 1), 2 * rng.randint(0, 1), rng, terms=2)
+        mixed.append(random_polynomial(m, 4, 4, rng) + mul_inner_ux(mul_inner_ux(tail)))
+    nonzero = 0
+    for p in even + mixed:
+        value = stiefel_integrate(p).pizzetti_value
+        assert value == stiefel_fibration_integral(p)
+        nonzero += not value.is_zero()
+    assert nonzero >= 40  # 49 of the 80 draws at this seed
 
 
 def test_sphere_surface_area_m4():

@@ -74,6 +74,33 @@ def test_projection_s_fixes_double_harmonics():
     assert extremal_projection_s(poly("x1*u1", m)) == poly("x1*u1", m)
 
 
+def test_bihomogeneous_operands_are_not_split(monkeypatch):
+    from harmonic2v.fischer import _pi_ij
+
+    m = 5
+    p = poly("x1^2*u1^2 + (2-i)*x1*x2*u3^2 - x3^2*u1*u2", m)
+    calls = [
+        lambda: extremal_projection_x(p),
+        lambda: extremal_projection_u(p),
+        lambda: extremal_projection_s(p),
+        lambda: _pi_ij(p, 1, 0),
+        lambda: _pi_ij(p, 0, 1),
+    ]
+    expected = [call() for call in calls]
+    original = Polynomial.bidegree_split
+    splits = []
+
+    def counted(self):
+        splits.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Polynomial, "bidegree_split", counted)
+    assert [call() for call in calls] == expected
+    assert splits == []
+    assert extremal_projection_s(p + poly("x1*u1", m)) == expected[2] + poly("x1*u1", m)
+    assert len(splits) == 1
+
+
 def test_projection_s_on_x1sq_u1sq():
     m = 5
     p = poly("x1^2*u1^2", m)
@@ -193,12 +220,15 @@ def test_generators_preserve_double_harmonicity_and_shift(rng):
         for _ in range(4):
             k, l = rng.randint(1, 3), rng.randint(1, 3)
             h = random_double_harmonic(m, k, l, rng)
+            other = random_double_harmonic(m, k + 1, l, rng)
             for tag in GeneratorTag:
                 image = apply_generator(tag, h)
                 assert is_double_harmonic(image)
                 if not image.is_zero():
                     dk, dl = GENERATOR_SHIFT[tag]
                     assert image.bidegree() == (k + dk, l + dl)
+                # a mixed-bidegree input is mapped part by part
+                assert apply_generator(tag, h + other) == image + apply_generator(tag, other)
 
 
 def test_quadratic_relations_hold(rng):
