@@ -6,11 +6,13 @@ exact projections onto every cell; combining them with the double Fischer
 split decomposes arbitrary polynomials into irreducible pieces.
 
 Each cell is projected directly from the layer (``project_component``); no
-cell depends on another.  Inputs with u-degree exceeding x-degree are
-mirrored: ``_orient`` is the one place that validates an input and decides to
-swap the two vector variables, the projections run on the swapped part, and
-``_restore`` swaps each result back.  Mirrored components are flagged and
-embed through C^i S_x^j instead of C^i S_u^j.
+cell depends on another.  ``project_component`` is the one checked entry: it
+validates its input and orients it (``_orient``), so that inputs with
+u-degree exceeding x-degree are projected through their x/u swap, and swaps
+the harmonic back.  ``master_projection`` (the (0, 0) cell) and
+``decompose_double_harmonic`` (every cell of the ladder) go through it.
+Mirrored components are flagged and embed through C^i S_x^j instead of
+C^i S_u^j.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .poly import Polynomial
 from .rationals import GAUSSIAN_I, falling, rising
 from .transvector import (
     GeneratorTag,
-    _apply_generator_unchecked,
     _check_double_harmonic,
     _require_theory_dimension,
     chain,
@@ -36,6 +37,11 @@ from .transvector import (
 )
 
 _A, _C, _S_X, _S_U = GeneratorTag.A, GeneratorTag.C, GeneratorTag.S_X, GeneratorTag.S_U
+
+
+def _check_kl(k: int, l: int):
+    if not k >= l >= 0:
+        raise IndexOutOfRange(f"need k >= l >= 0, got ({k}, {l})")
 
 
 # -- highest weight vectors ------------------------------------------------------
@@ -49,8 +55,7 @@ def highest_weight_vector(k: int, l: int, m: int) -> Polynomial:
     conj(z_2)conj(w_1))^l.
     """
     _require_theory_dimension(m)
-    if not k >= l >= 0:
-        raise IndexOutOfRange(f"need k >= l >= 0, got ({k}, {l})")
+    _check_kl(k, l)
 
     def conj_pair(axis: str, j: int) -> Polynomial:
         re = Polynomial.variable(m, axis, 2 * j - 1)
@@ -69,11 +74,6 @@ def highest_weight_vector(k: int, l: int, m: int) -> Polynomial:
 
 
 # -- ladder constants -------------------------------------------------------------
-
-
-def _check_kl(k: int, l: int):
-    if not k >= l >= 0:
-        raise IndexOutOfRange(f"need k >= l >= 0, got ({k}, {l})")
 
 
 def ladder_phi(i: int, j: int, k: int, l: int, m: int) -> Fraction:
@@ -165,8 +165,7 @@ class LadderIndex:
     l: int
 
     def __post_init__(self):
-        if not self.k >= self.l >= 0:
-            raise IndexOutOfRange(f"need k >= l >= 0, got ({self.k}, {self.l})")
+        _check_kl(self.k, self.l)
         if self.i < 0 or not 0 <= self.j <= self.k - self.l:
             raise IndexOutOfRange(
                 f"cell ({self.i},{self.j}) outside the ladder of weight ({self.k},{self.l})"
@@ -224,9 +223,9 @@ def _master_projection_dominant(part: Polynomial) -> Polynomial:
         r = sx_pow
         while not r.is_zero():
             row.append(r.scaled(projection_weight(len(row), j, k, l, m)))
-            r = _apply_generator_unchecked(_A, r)
+            r = chain(r, (_A,))
         rows.append(row)
-        sx_pow = _apply_generator_unchecked(_S_X, sx_pow)
+        sx_pow = chain(sx_pow, (_S_X,))
     depth = max((len(row) for row in rows), default=0)
     inner = [
         nested_sum(_S_U, [row[i] if i < len(row) else None for row in rows])
@@ -237,15 +236,15 @@ def _master_projection_dominant(part: Polynomial) -> Polynomial:
 
 
 def _orient(p: Polynomial) -> Tuple[Polynomial, bool]:
-    """Validate a bihomogeneous double harmonic and return ``(part, mirrored)``.
+    """Validate a nonzero bihomogeneous double harmonic and return ``(part, mirrored)``.
 
     ``part`` is p itself when its bidegree (k, l) has k >= l, and p with x and
     u swapped otherwise (``mirrored``); every projection works on the
-    x-dominant part.  The zero polynomial passes through unmirrored.
+    x-dominant part.
     """
     _require_theory_dimension(p.m)
     if p.is_zero():
-        return p, False
+        raise ValueError("the zero polynomial has no ladder cells")
     _check_double_harmonic(p)
     bid = p.bidegree()
     if bid is None:
@@ -254,28 +253,27 @@ def _orient(p: Polynomial) -> Tuple[Polynomial, bool]:
     return (p.swap_vectors(), True) if k < l else (p, False)
 
 
-def _restore(comp: SimplicialComponent, mirrored: bool) -> SimplicialComponent:
-    """Undo the swap of ``_orient`` on a component of the x-dominant part."""
-    if not mirrored:
-        return comp
-    return SimplicialComponent(comp.index, comp.harmonic.swap_vectors(), mirrored=True)
+def _ladder(p: Polynomial) -> List[Tuple[int, int]]:
+    """The cells (i, j), i + j <= min(k, l), of p's bidegree (k, l); none for p = 0.
 
-
-def master_projection(p: Polynomial) -> Polynomial:
-    """Project a bihomogeneous double harmonic onto its simplicial part."""
-    part, mirrored = _orient(p)
-    if part.is_zero():
-        return part
-    h = _master_projection_dominant(part)
-    return h.swap_vectors() if mirrored else h
+    Only m > 4 is checked here.  A nonzero p without a bidegree gets the one
+    cell (0, 0), whose projection reports why p is not a layer.
+    """
+    _require_theory_dimension(p.m)
+    if p.is_zero():
+        return []
+    l = min(p.bidegree() or (0, 0))
+    return [(i, j) for i in range(l + 1) for j in range(l - i + 1)]
 
 
 def project_component(p: Polynomial, i: int, j: int) -> SimplicialComponent:
-    """Extract the (i, j) ladder cell of a bihomogeneous double harmonic."""
+    """Extract the (i, j) ladder cell of a nonzero bihomogeneous double harmonic.
+
+    A u-dominant p is projected through its swap; the harmonic is swapped back
+    and the component flagged ``mirrored``.
+    """
     part, mirrored = _orient(p)
     bid = part.bidegree()
-    if bid is None:
-        raise ValueError("component projection needs a bihomogeneous input")
     pd, qd = bid
     if not (0 <= i <= qd and 0 <= j <= qd - i):
         raise IndexOutOfRange(f"cell ({i},{j}) outside the ladder range of bidegree {bid}")
@@ -284,8 +282,13 @@ def project_component(p: Polynomial, i: int, j: int) -> SimplicialComponent:
     if not norm:
         raise ZeroNormalizer(f"component ({i},{j}) is absent at target ({tk},{tl})")
     w = chain(part, (_A,) * i + (_S_X,) * j)
-    h = _master_projection_dominant(w) if not w.is_zero() else w
-    return _restore(SimplicialComponent(LadderIndex(i, j, tk, tl), h.scaled(1 / norm)), mirrored)
+    h = (_master_projection_dominant(w) if not w.is_zero() else w).scaled(1 / norm)
+    return SimplicialComponent(LadderIndex(i, j, tk, tl), h.swap_vectors() if mirrored else h, mirrored)
+
+
+def master_projection(p: Polynomial) -> Polynomial:
+    """Project a bihomogeneous double harmonic onto its simplicial part, cell (0, 0)."""
+    return project_component(p, 0, 0).harmonic if _ladder(p) else p
 
 
 # -- decomposition ----------------------------------------------------------------
@@ -293,17 +296,8 @@ def project_component(p: Polynomial, i: int, j: int) -> SimplicialComponent:
 
 def decompose_double_harmonic(p: Polynomial) -> List[SimplicialComponent]:
     """Split a bihomogeneous double harmonic into its nonzero ladder cells."""
-    part, mirrored = _orient(p)
-    if part.is_zero():
-        return []
-    _, l = part.bidegree()
-    out = []
-    for i in range(l + 1):
-        for j in range(l - i + 1):
-            comp = project_component(part, i, j)
-            if not comp.harmonic.is_zero():
-                out.append(_restore(comp, mirrored))
-    return out
+    cells = (project_component(p, i, j) for i, j in _ladder(p))
+    return [comp for comp in cells if not comp.harmonic.is_zero()]
 
 
 @dataclass(frozen=True)

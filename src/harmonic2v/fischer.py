@@ -109,7 +109,7 @@ def fischer_inner_product(p: Polynomial, q: Polynomial) -> GaussianRational:
     """
     if p.m != q.m:
         raise DimensionMismatch("inner product of polynomials over different m")
-    small, big = (p, q) if len(p._terms) <= len(q._terms) else (q, p)
+    small = p if len(p._terms) <= len(q._terms) else q
     total_re = Fraction(0)
     total_im = Fraction(0)
     for e, _ in small._terms.items():

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .decomp import ladder_alpha, projection_weight
+from .decomp import _check_kl, ladder_alpha, projection_weight
 from .errors import GammaPole, IndexOutOfRange, LowerParameterPole, NonTerminating
 from .rationals import rising
 
@@ -170,8 +170,7 @@ def g_sum(k: int, l: int, i: int, j: int, m: int) -> Fraction:
     re-embedding factor (K-i-1)^(b) / (K-a-1)^(b) from commuting S_u^b past
     C^{i-a}.  Equals 1 at (i, j) = (0, 0) and 0 on every other cell.
     """
-    if not k >= l >= 0:
-        raise IndexOutOfRange(f"need k >= l >= 0, got ({k}, {l})")
+    _check_kl(k, l)
     if i < 0 or j < 0 or i + j > l:
         raise IndexOutOfRange(f"cell ({i},{j}) outside the ladder of bidegree ({k},{l})")
     tk, tl = k - i + j, l - i - j

@@ -107,25 +107,21 @@ class Monomial:
 
 
 def _normalize(terms: RawTerms, den: int) -> Tuple[RawTerms, int]:
-    """Canonicalize an owned term dict in place: prune zeros, make the shared
-    denominator positive, divide out the global content."""
-    dead = [e for e, ab in terms.items() if not ab[0] and not ab[1]]
+    """Canonicalize an owned term dict in place: prune zeros and divide out the
+    global content, which the pruning pass also finds.  ``den`` must be
+    positive; every producer keeps it so."""
+    g = den
+    dead = []
+    for e, (a, b) in terms.items():
+        if a or b:
+            if g != 1:
+                g = gcd(g, a, b)
+        else:
+            dead.append(e)
     for e in dead:
         del terms[e]
     if not terms:
         return {}, 1
-    if den < 0:
-        den = -den
-        for e, (a, b) in terms.items():
-            terms[e] = (-a, -b)
-    g = den
-    for a, b in terms.values():
-        if a:
-            g = gcd(g, a)
-        if b:
-            g = gcd(g, b)
-        if g == 1:
-            return terms, den
     if g > 1:
         for e, (a, b) in terms.items():
             terms[e] = (a // g, b // g)

@@ -165,29 +165,22 @@ _GEN_FUNC = {
 }
 
 
-def _apply_generator_unchecked(tag: GeneratorTag, p: Polynomial) -> Polynomial:
-    return _per_part(p, _GEN_FUNC[tag])
-
-
 def apply_generator(tag: GeneratorTag, p: Polynomial) -> Polynomial:
     """Apply one of S_x, S_u, A, C to a double-harmonic polynomial."""
-    _require_theory_dimension(p.m)
-    if p.is_zero():
-        return p
-    _check_double_harmonic(p)
-    return _apply_generator_unchecked(tag, p)
+    return generator_chain(p, (tag,))
 
 
 def chain(p: Polynomial, steps: Sequence) -> Polynomial:
     """Apply steps rightmost first, stopping at the first zero image.
 
-    A step is an atom function or a ``GeneratorTag``; tags dispatch through
-    ``_apply_generator_unchecked``, so no domain check is made here.
+    A step is an atom function or a ``GeneratorTag``; a tag applies its
+    generator to each bidegree part (``_per_part``).  No domain check is made
+    here: ``generator_chain`` is the checked entry.
     """
     for step in reversed(steps):
         if p.is_zero():
             break
-        p = _apply_generator_unchecked(step, p) if isinstance(step, GeneratorTag) else step(p)
+        p = _per_part(p, _GEN_FUNC[step]) if isinstance(step, GeneratorTag) else step(p)
     return p
 
 
@@ -230,10 +223,8 @@ def _relation_residuals(p: Polynomial) -> Dict[str, Polynomial]:
     m = p.m
     k, l = p.bidegree()
     sx, su, a, c = (
-        lambda q: _apply_generator_unchecked(GeneratorTag.S_X, q),
-        lambda q: _apply_generator_unchecked(GeneratorTag.S_U, q),
-        lambda q: _apply_generator_unchecked(GeneratorTag.A, q),
-        lambda q: _apply_generator_unchecked(GeneratorTag.C, q),
+        lambda q, tag=tag: chain(q, (tag,))
+        for tag in (GeneratorTag.S_X, GeneratorTag.S_U, GeneratorTag.A, GeneratorTag.C)
     )
     hx = _h_x(k, m)
     hu = _h_x(l, m)

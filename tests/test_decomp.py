@@ -29,7 +29,7 @@ from harmonic2v.operators import cross_dd, laplacian_u, laplacian_x, skew_xu
 from harmonic2v.poly import Monomial
 from harmonic2v.rationals import GAUSSIAN_I
 from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic, seeded
-from harmonic2v.transvector import generator_chain
+from harmonic2v.transvector import apply_generator, generator_chain
 
 from conftest import one, poly
 from reference import peel_double_harmonic
@@ -316,6 +316,74 @@ def test_project_component_index_errors(rng):
         project_component(p, 2, 0)
     with pytest.raises(IndexOutOfRange):
         project_component(p, 0, 2)
+
+
+_ENTRY_POINTS = {
+    "master_projection": master_projection,
+    "project_component": lambda p: project_component(p, 0, 0),
+    "decompose_double_harmonic": decompose_double_harmonic,
+    "apply_generator": lambda p: apply_generator(GeneratorTag.S_X, p),
+    "generator_chain": lambda p: generator_chain(p, (GeneratorTag.S_U, GeneratorTag.S_X)),
+}
+_DECOMP_ENTRIES = ("master_projection", "project_component", "decompose_double_harmonic")
+
+#: Input text, m, and what each entry point gives for it: an exception type,
+#: matched exactly (a plain ValueError is not a NotDoubleHarmonic), or a value
+#: (a list, or the text of a polynomial).  The generators map a double harmonic
+#: without a bidegree part by part, so x1 + u1 is an error only for the cells.
+_ENTRY_ROWS = [
+    ("0", 4, dict.fromkeys(_ENTRY_POINTS, ValueError)),
+    ("x1*u2", 4, dict.fromkeys(_ENTRY_POINTS, ValueError)),
+    ("x1^2", 5, dict.fromkeys(_ENTRY_POINTS, NotDoubleHarmonic)),
+    ("x1 + u1", 5, {**dict.fromkeys(_DECOMP_ENTRIES, ValueError), "apply_generator": "x1", "generator_chain": "u1"}),
+    ("x1^2 + u1", 5, dict.fromkeys(_ENTRY_POINTS, NotDoubleHarmonic)),
+    (
+        "0",
+        5,
+        {
+            "master_projection": "0",
+            "project_component": ValueError,
+            "decompose_double_harmonic": [],
+            "apply_generator": "0",
+            "generator_chain": "0",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("text, m, outcomes", _ENTRY_ROWS, ids=[f"{t}-m{m}" for t, m, _ in _ENTRY_ROWS])
+def test_entry_points_keep_their_typed_errors(text, m, outcomes, entry):
+    p = poly(text, m)
+    want = outcomes[entry]
+    if isinstance(want, type):
+        with pytest.raises(want) as err:
+            _ENTRY_POINTS[entry](p)
+        assert type(err.value) is want
+    else:
+        assert _ENTRY_POINTS[entry](p) == (want if isinstance(want, list) else poly(want, m))
+
+
+def test_each_cell_is_validated_once(rng, monkeypatch):
+    layers = [random_double_harmonic(5, k, l, rng) for k, l in ((3, 2), (2, 3))]
+    checked = []
+    real = transvector.is_double_harmonic
+
+    def counted(p):
+        checked.append(p)
+        return real(p)
+
+    monkeypatch.setattr(transvector, "is_double_harmonic", counted)
+    for p in layers:  # x-dominant, then u-dominant; 6 cells each (i + j <= 2)
+        checked.clear()
+        decompose_double_harmonic(p)
+        assert len(checked) == 6
+        checked.clear()
+        master_projection(p)
+        assert len(checked) == 1
+        checked.clear()
+        apply_generator(GeneratorTag.C, p)
+        assert len(checked) == 1
 
 
 def test_decompose_x1u1():
