@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, Optional
 
 from .decomp import DecompositionResult, decompose_full
 from .errors import PolySyntaxError, VariableOutOfRange
@@ -56,40 +57,60 @@ def _load_poly(args) -> Polynomial:
     return parse_poly(text.strip(), args.m)
 
 
-def _decomposition_document(result: DecompositionResult, check: str) -> dict:
-    components = []
+def _object(fields, indent: int) -> str:
+    """A JSON object laid out as ``json.dumps(indent=2)`` lays it out at depth
+    ``indent``; ``fields`` are (key, rendered value) pairs in sorted key order."""
+    pad = " " * (indent + 2)
+    body = f",\n{pad}".join(f'"{key}": {value}' for key, value in fields)
+    return f"{{\n{pad}{body}\n{' ' * indent}}}"
+
+
+def _decomposition_json(result: DecompositionResult, check: str) -> Iterator[str]:
+    """The decompose document in chunks, one per component.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2)`` plus
+    a newline, for the ``harmonic2v/1`` document of ``result``: keys in sorted
+    order, two-space indentation, ``[]`` for an empty list.  Each harmonic is
+    rendered from its packed terms, without a per-term dict.
+    """
+    enc = encode_basestring_ascii  # json.dumps's string encoder
+    yield '{\n  "components": ['
+    opener = "\n    "
     for entry in result.entries:
-        idx = entry.component.index
-        harmonic_terms = [
-            {"monomial": str(mono), "coeff": str(coeff)}
-            for mono, coeff in entry.component.harmonic.terms()
+        comp = entry.component
+        idx = comp.index
+        # Written out rather than through _object: this runs once per term.
+        terms = ",\n".join(
+            f'        {{\n          "coeff": {enc(coeff)},\n          "monomial": {enc(mono)}\n        }}'
+            for mono, coeff in comp.harmonic.term_strings()
+        )
+        fields = [
+            ("fischer", _object([("a", entry.a), ("b", entry.b)], 6)),
+            ("harmonic", f"[\n{terms}\n      ]" if terms else "[]"),
+            ("ladder", _object([("i", idx.i), ("j", idx.j)], 6)),
         ]
-        component = {
-            "fischer": {"a": entry.a, "b": entry.b},
-            "ladder": {"i": idx.i, "j": idx.j},
-            "target": {"k": idx.k, "l": idx.l},
-            "harmonic": harmonic_terms,
-        }
-        if entry.component.mirrored:
-            component["mirrored"] = True
-        components.append(component)
-    return {
-        "schema": SCHEMA,
-        "input": str(result.source),
-        "m": result.m,
-        "strategy": "direct",  # fixed field of the harmonic2v/1 schema
-        "components": components,
-        "reconstruction_check": check,
-    }
+        if comp.mirrored:
+            fields.append(("mirrored", "true"))
+        fields.append(("target", _object([("k", idx.k), ("l", idx.l)], 6)))
+        yield opener + _object(fields, 4)
+        opener = ",\n    "
+    yield "\n  ]" if result.entries else "]"
+    for key, value in (
+        ("input", enc(str(result.source))),
+        ("m", result.m),
+        ("reconstruction_check", enc(check)),
+        ("schema", enc(SCHEMA)),
+        ("strategy", enc("direct")),  # fixed field of the harmonic2v/1 schema
+    ):
+        yield f',\n  "{key}": {value}'
+    yield "\n}\n"
 
 
 def cmd_decompose(args) -> int:
     result = decompose_full(_load_poly(args))
     check = "exact" if result.is_exact() else "FAILED"
     if args.format == "json":
-        doc = _decomposition_document(result, check)
-        del result  # release the harmonics before the large document is encoded
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        sys.stdout.writelines(_decomposition_json(result, check))
     else:
         # Harmonics print in the --poly grammar, so each line parses back.
         print(f"input: {result.source}  (m={result.m})")
@@ -153,7 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     integ = sub.add_parser("integrate", parents=[poly_input], help="integrate over V_2(R^m) or S^(m-1)")
     integ.add_argument("--manifold", choices=("stiefel2", "sphere"), default="stiefel2")
-    integ.add_argument("--mc-samples", type=_int_at_least(1, MAX_MC_SAMPLES), default=None)
+    integ.add_argument(
+        "--mc-samples", type=_int_at_least(1, MAX_MC_SAMPLES), default=None,
+        help="add a Monte Carlo check with this many frames (stiefel2 only)",
+    )
     integ.add_argument("--seed", type=int, default=0)
     integ.set_defaults(fn=cmd_integrate)
 
@@ -169,6 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "integrate" and args.manifold == "sphere" and args.mc_samples is not None:
+        parser.error("argument --mc-samples: applies to --manifold stiefel2 only")
     try:
         return args.fn(args)
     except (

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Tuple
 
@@ -120,6 +121,9 @@ def ladder_psi(i: int, j: int, k: int, l: int, m: int) -> Fraction:
     )
 
 
+# The ladder constants are pure functions of a few small ints, called once per
+# cell and operand: a decomposition meets only a few hundred distinct ones.
+@lru_cache(maxsize=4096)
 def ladder_alpha(i: int, j: int, p: int, q: int, k: int, l: int, m: int) -> Fraction:
     """Constant of A^p S_x^q on C^i S_u^j H_{k,l} (p <= i, q <= j)."""
     _check_kl(k, l)
@@ -134,6 +138,7 @@ def ladder_alpha(i: int, j: int, p: int, q: int, k: int, l: int, m: int) -> Frac
     return out
 
 
+@lru_cache(maxsize=4096)
 def projection_weight(i: int, j: int, k: int, l: int, m: int) -> Fraction:
     """Weight of the C^i S_u^j A^i S_x^j term of the cell projection on (k, l)."""
     _check_kl(k, l)

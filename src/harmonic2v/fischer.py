@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
@@ -37,6 +38,7 @@ class DoubleFischerComponent:
         return mul_norm_powers(self.part, self.i, self.j)
 
 
+@lru_cache(maxsize=4096)  # a pure function of three small ints
 def _layer_scale(degree: int, m: int, s: int) -> Fraction:
     """1 / (4^s s! (degree + m/2 - 2s)^(s)), the scalar of the |v|^{2s} Fischer
     layer |v|^{2s} pi_v Delta_v^s p of a p of degree ``degree`` in v."""

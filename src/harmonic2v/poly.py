@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
@@ -48,6 +49,27 @@ def field_shift(m: int, axis: str, index: int) -> int:
 def exponents(key: int, m: int) -> bytes:
     """The 2m exponents of a packed key, x-part then u-part."""
     return key.to_bytes(2 * m, "big")
+
+
+def _graded_lex(key: int) -> Tuple[int, int]:
+    """Sort key of ``terms()``: total degree, then the exponent word."""
+    return key % FIELD_MASK, key
+
+
+@lru_cache(maxsize=None)
+def _field_names(m: int) -> Tuple[str, ...]:
+    """The variable of every exponent field of a key: x1..xm, then u1..um."""
+    return tuple(f"{axis}{i}" for axis in "xu" for i in range(1, m + 1))
+
+
+#: Power suffix of one factor of a monomial's text, indexed by its exponent.
+_POWER = ("", "") + tuple(f"^{e}" for e in range(2, MAX_TERM_DEGREE + 1))
+
+
+def _monomial_text(fields: bytes, m: int) -> str:
+    """The text of the monomial with exponent word ``fields``: "x1*u2^3", or "1"."""
+    names = _field_names(m)
+    return "*".join([names[f] + _POWER[e] for f, e in enumerate(fields) if e]) or "1"
 
 
 def _checked_key(exps: Sequence[int]) -> int:
@@ -96,14 +118,7 @@ class Monomial:
         return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
-        parts = []
-        for name, exps in (("x", self.xexp), ("u", self.uexp)):
-            for i, e in enumerate(exps):
-                if e == 1:
-                    parts.append(f"{name}{i + 1}")
-                elif e > 1:
-                    parts.append(f"{name}{i + 1}^{e}")
-        return "*".join(parts) if parts else "1"
+        return _monomial_text(bytes(self.xexp + self.uexp), self.m)
 
 
 def _normalize(terms: RawTerms, den: int) -> Tuple[RawTerms, int]:
@@ -199,12 +214,21 @@ class Polynomial:
     def terms(self) -> Iterator[Tuple[Monomial, GaussianRational]]:
         m = self.m
         den = self._den
-        for key in sorted(self._terms, key=lambda k: (k % FIELD_MASK, k)):
+        for key in sorted(self._terms, key=_graded_lex):
             a, b = self._terms[key]
             e = exponents(key, m)
             yield Monomial(tuple(e[:m]), tuple(e[m:])), GaussianRational(
                 Fraction(a, den), Fraction(b, den)
             )
+
+    def term_strings(self) -> Iterator[Tuple[str, str]]:
+        """``(str(mono), str(coeff))`` of every term, in ``terms()`` order,
+        rendered straight from the packed keys and integer numerators."""
+        m = self.m
+        den = self._den
+        for key in sorted(self._terms, key=_graded_lex):
+            a, b = self._terms[key]
+            yield _monomial_text(exponents(key, m), m), _gaussian_text(a, b, den)
 
     def coefficient(self, mono: Monomial) -> GaussianRational:
         if mono.m != self.m:
@@ -423,6 +447,22 @@ def _build_raw(m: int, terms: Dict[Monomial, object]) -> Tuple[RawTerms, int]:
         else:
             raw[e] = (cur[0] + a, cur[1] + b)
     return _normalize(raw, den)
+
+
+def _fraction_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _gaussian_text(a: int, b: int, den: int) -> str:
+    """str(GaussianRational) of (a + b i) / den for den > 0."""
+    if not b:
+        return _fraction_text(a, den)
+    imag = "i" if abs(b) == den else _fraction_text(abs(b), den) + "i"
+    if not a:
+        return imag if b > 0 else "-" + imag
+    return _fraction_text(a, den) + ("+" if b > 0 else "-") + imag
 
 
 def _render_coeff_grammar(c: GaussianRational) -> str:

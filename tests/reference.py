@@ -1,5 +1,6 @@
 """Reference routes for the tests: the sequential peel, the term-by-term
-extremal projection and the fibration integral over V_2(R^m).
+extremal projection, the fibration integral over V_2(R^m) and the decompose
+document through ``json.dumps``.
 
 The peel shares the library's building blocks (``double_fischer``, the
 generators and ``ladder_alpha``) but not its projections: instead of
@@ -14,8 +15,13 @@ extremal series separately, where the library sums the series in nested form.
 The fibration integral averages u over the sphere of x^perp and then x over
 S^{m-1}, with Pizzetti's formula on each sphere; it shares no code with the
 library's Stiefel path (``gamma_constant``, ``_pi_ij``, ``cross_dd``).
+
+The decompose document is built as nested dicts, one per harmonic term from
+``str()`` of the ``Monomial`` and ``GaussianRational`` that ``terms()``
+yields, and encoded by ``json.dumps``; the CLI writes the same bytes directly.
 """
 
+import json
 from fractions import Fraction
 from math import factorial, prod
 from typing import List, Tuple
@@ -140,3 +146,32 @@ def stiefel_fibration_integral(p: Polynomial) -> GaussianRational:
         den = 2**h * factorial(h) * prod(m - 1 + 2 * t for t in range(h))
         total = total + sphere_integrate(part).coefficient * Fraction(1, den)
     return total / sphere_integrate(Polynomial.constant(m, 1)).coefficient
+
+
+def decomposition_json(result: DecompositionResult, check: str) -> str:
+    """The decompose command's JSON document (without the final newline)."""
+    components = []
+    for entry in result.entries:
+        idx = entry.component.index
+        harmonic_terms = [
+            {"monomial": str(mono), "coeff": str(coeff)}
+            for mono, coeff in entry.component.harmonic.terms()
+        ]
+        component = {
+            "fischer": {"a": entry.a, "b": entry.b},
+            "ladder": {"i": idx.i, "j": idx.j},
+            "target": {"k": idx.k, "l": idx.l},
+            "harmonic": harmonic_terms,
+        }
+        if entry.component.mirrored:
+            component["mirrored"] = True
+        components.append(component)
+    doc = {
+        "schema": "harmonic2v/1",
+        "input": str(result.source),
+        "m": result.m,
+        "strategy": "direct",
+        "components": components,
+        "reconstruction_check": check,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import time
 from pathlib import Path
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from harmonic2v import (
     GaussianRational,
@@ -21,6 +25,7 @@ from harmonic2v.poly import Monomial
 from harmonic2v.sampling import random_polynomial, seeded
 
 from conftest import poly
+from reference import decomposition_json
 
 
 # -- parsing --------------------------------------------------------------------
@@ -223,6 +228,16 @@ def test_cli_integrate_sphere_m4(capsys):
     assert code == 0 and out["value"] == "2 * pi^2"
 
 
+def test_cli_integrate_sphere_rejects_mc_samples(capsys):
+    # the sphere integral has no Monte Carlo check, so the option must not pass silently
+    with pytest.raises(SystemExit) as err:
+        main(["integrate", "--m", "4", "--poly", "1", "--manifold", "sphere", "--mc-samples", "100"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--mc-samples" in captured.err and "Traceback" not in captured.err
+
+
 def test_cli_integrate_with_monte_carlo(capsys):
     code = main(
         ["integrate", "--m", "5", "--poly", "x1^2", "--mc-samples", "20000", "--seed", "7"]
@@ -358,8 +373,52 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
             "decompose_m6",
             ["decompose", "--m", "6", "--poly", "x1^2*u1^2 - u1*x2 + 3*x1*x2*u3^2"],
         ),
+        ("decompose_zero_m5", ["decompose", "--m", "5", "--poly", "0"]),
+        (
+            "decompose_complex_m10",
+            ["decompose", "--m", "10", "--poly", "(1/2-3/4*i)*x10^2*u9 + 7/3*x1*u10^2"],
+        ),
+        (
+            "decompose_mirrored_m5_text",
+            ["decompose", "--m", "5", "--poly", "x1*u2^2 - 2/3*x2*u1*u3 + i*u1^3", "--format", "text"],
+        ),
     ],
 )
 def test_cli_stdout_matches_golden(name, argv, capsys):
+    suffix = ".txt" if "text" in argv else ".json"
     assert main(argv) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == (GOLDEN / f"{name}{suffix}").read_text(encoding="utf-8")
+
+
+@st.composite
+def decompose_inputs(draw):
+    """(m, p): m in 5..10, up to three terms of bidegree <= (3, 3) with
+    Gaussian-rational coefficients; the zero polynomial included."""
+    m = draw(st.integers(5, 10))
+    data = {}
+    for _ in range(draw(st.integers(0, 3))):
+        xe = [0] * m
+        ue = [0] * m
+        for exps in (xe, ue):
+            for _ in range(draw(st.integers(0, 3))):
+                exps[draw(st.integers(0, m - 1))] += 1
+        re = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
+        im = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
+        data[Monomial(tuple(xe), tuple(ue))] = GaussianRational(re, im)
+    return m, Polynomial(m, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(decompose_inputs())
+@example((5, Polynomial.zero(5)))
+def test_decompose_stdout_matches_json_dumps(case):
+    # the direct writer against json.dumps of the per-term document in tests/reference.py
+    # and Polynomial.term_strings against str() of the Monomial / GaussianRational terms
+    m, p = case
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["decompose", "--m", str(m), f"--poly={p}"]) == 0
+    result = decompose_full(p)
+    assert out.getvalue() == decomposition_json(result, "exact") + "\n"
+    for q in [p] + [entry.component.harmonic for entry in result.entries]:
+        assert list(q.term_strings()) == [(str(mono), str(coeff)) for mono, coeff in q.terms()]
