@@ -33,6 +33,13 @@ MAX_MC_SAMPLES = 10**8
 #: at 6 on a 2-CPU x86_64 host.
 MAX_VERIFY_BIDEGREE = 4
 
+#: Largest ``--m`` accepted.  A key holds 2m bytes and every operator atom makes
+#: m shifted copies of each term, so the cost grows fast with m even for a
+#: one-term input.  On a 2-CPU x86_64 host ``integrate --poly x1^2*u1^2`` takes
+#: 0.2 s at m = 64 and 1.3 s at 256, but ``x1^4*u1^4`` already takes 1.0 s and
+#: 119 MB at 32, and 29 s and 1.5 GB at 64.
+MAX_M = 64
+
 
 def _int_at_least(low: int, high: Optional[int] = None):
     """argparse type: an integer in [low, high], rejected as a usage error otherwise."""
@@ -132,7 +139,7 @@ def cmd_integrate(args) -> int:
         value = sphere_integrate(p)
         doc["value"] = str(value)
     else:
-        report = stiefel_integrate(p, mc_samples=args.mc_samples, seed=args.seed)
+        report = stiefel_integrate(p, mc_samples=args.mc_samples, seed=args.seed or 0)
         doc["value"] = str(report.pizzetti_value)
         if report.samples:
             doc["mc"] = {
@@ -161,11 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     poly_input = argparse.ArgumentParser(add_help=False)
     poly_input.add_argument(
-        "--m", type=_int_at_least(1), required=True,
+        "--m", type=_int_at_least(1, MAX_M), required=True,
         help="ambient dimension (> 4, except for integrate --manifold sphere)",
     )
     group = poly_input.add_mutually_exclusive_group(required=True)
-    group.add_argument("--poly", help="polynomial expression")
+    group.add_argument(
+        "--poly", help="polynomial expression; write one that starts with '-' as --poly=EXPR",
+    )
     group.add_argument("--poly-file", help="file containing the expression")
 
     dec = sub.add_parser("decompose", parents=[poly_input], help="decompose into irreducible components")
@@ -178,12 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--mc-samples", type=_int_at_least(1, MAX_MC_SAMPLES), default=None,
         help="add a Monte Carlo check with this many frames (stiefel2 only)",
     )
-    integ.add_argument("--seed", type=int, default=0)
+    integ.add_argument(
+        "--seed", type=int, default=None,
+        help="seed of the Monte Carlo check (default 0; needs --mc-samples)",
+    )
     integ.set_defaults(fn=cmd_integrate)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    ver.add_argument("--m", type=_int_at_least(1), default=5)
+    ver.add_argument("--m", type=_int_at_least(1, MAX_M), default=5)
     ver.add_argument("--max-bidegree", type=_int_at_least(0, MAX_VERIFY_BIDEGREE), default=3)
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(fn=cmd_verify)
@@ -193,8 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "integrate" and args.manifold == "sphere" and args.mc_samples is not None:
-        parser.error("argument --mc-samples: applies to --manifold stiefel2 only")
+    if args.command == "integrate":
+        # Options that would change nothing are usage errors, not silently ignored.
+        if args.seed is not None and (args.manifold == "sphere" or args.mc_samples is None):
+            parser.error("argument --seed: applies to --manifold stiefel2 with --mc-samples only")
+        if args.manifold == "sphere" and args.mc_samples is not None:
+            parser.error("argument --mc-samples: applies to --manifold stiefel2 only")
     try:
         return args.fn(args)
     except (

@@ -112,9 +112,8 @@ def fischer_inner_product(p: Polynomial, q: Polynomial) -> GaussianRational:
     if p.m != q.m:
         raise DimensionMismatch("inner product of polynomials over different m")
     small = p if len(p._terms) <= len(q._terms) else q
-    total_re = Fraction(0)
-    total_im = Fraction(0)
-    for e, _ in small._terms.items():
+    total_re = total_im = 0
+    for e in small._terms:
         ab = p._terms.get(e)
         cd = q._terms.get(e)
         if ab is None or cd is None:
@@ -123,10 +122,10 @@ def fischer_inner_product(p: Polynomial, q: Polynomial) -> GaussianRational:
         a, b = ab
         c, d = cd
         # conj(a + bi) * (c + di) = (ac + bd) + (ad - bc) i
-        total_re += Fraction((a * c + b * d) * f)
-        total_im += Fraction((a * d - b * c) * f)
+        total_re += (a * c + b * d) * f
+        total_im += (a * d - b * c) * f
     den = p._den * q._den
-    return GaussianRational(total_re / den, total_im / den)
+    return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
 
 
 def fischer_inner_product_by_differentiation(p: Polynomial, q: Polynomial) -> GaussianRational:

@@ -100,22 +100,11 @@ class Monomial:
 
     def key(self) -> int:
         """The packed key of this monomial."""
-        return int.from_bytes(bytes(self.xexp + self.uexp), "big")
+        return _checked_key(self.xexp + self.uexp)
 
     @property
     def m(self) -> int:
         return len(self.xexp)
-
-    def degree(self) -> Tuple[int, int]:
-        return sum(self.xexp), sum(self.uexp)
-
-    def sort_key(self):
-        # Graded lexicographic: total degree first, then the exponent word.
-        kx, ku = self.degree()
-        return (kx + ku, self.xexp + self.uexp)
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
         return _monomial_text(bytes(self.xexp + self.uexp), self.m)
@@ -155,13 +144,7 @@ class Polynomial:
     def __init__(self, m: int, terms: Optional[Dict[Monomial, object]] = None):
         if m < 1:
             raise DimensionMismatch(f"ambient dimension must be >= 1, got {m}")
-        raw: RawTerms = {}
-        den = 1
-        if terms:
-            for mono in terms:
-                if mono.m != m:
-                    raise DimensionMismatch("monomial length does not match m")
-            raw, den = _build_raw(m, terms)
+        raw, den = _build_raw(m, terms) if terms else ({}, 1)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_terms", raw)
         object.__setattr__(self, "_den", den)
@@ -191,7 +174,7 @@ class Polynomial:
     def constant(cls, m: int, value) -> "Polynomial":
         if m < 1:
             raise DimensionMismatch(f"ambient dimension must be >= 1, got {m}")
-        a, b, den = _numerators(GaussianRational.of(value))
+        a, b, den = _numerators(value)
         return cls._packed(m, {0: (a, b)}, den)
 
     @classmethod
@@ -211,15 +194,18 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def _value(self, key: int) -> GaussianRational:
+        """The coefficient of the packed key ``key``, zero when it is absent."""
+        ab = self._terms.get(key)
+        if ab is None:
+            return GaussianRational()
+        return GaussianRational(Fraction(ab[0], self._den), Fraction(ab[1], self._den))
+
     def terms(self) -> Iterator[Tuple[Monomial, GaussianRational]]:
         m = self.m
-        den = self._den
         for key in sorted(self._terms, key=_graded_lex):
-            a, b = self._terms[key]
             e = exponents(key, m)
-            yield Monomial(tuple(e[:m]), tuple(e[m:])), GaussianRational(
-                Fraction(a, den), Fraction(b, den)
-            )
+            yield Monomial(tuple(e[:m]), tuple(e[m:])), self._value(key)
 
     def term_strings(self) -> Iterator[Tuple[str, str]]:
         """``(str(mono), str(coeff))`` of every term, in ``terms()`` order,
@@ -233,16 +219,10 @@ class Polynomial:
     def coefficient(self, mono: Monomial) -> GaussianRational:
         if mono.m != self.m:
             raise DimensionMismatch("monomial length does not match m")
-        ab = self._terms.get(mono.key())
-        if ab is None:
-            return GaussianRational()
-        return GaussianRational(Fraction(ab[0], self._den), Fraction(ab[1], self._den))
+        return self._value(mono.key())
 
     def constant_term(self) -> GaussianRational:
-        ab = self._terms.get(0)
-        if ab is None:
-            return GaussianRational()
-        return GaussianRational(Fraction(ab[0], self._den), Fraction(ab[1], self._den))
+        return self._value(0)
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -344,27 +324,15 @@ class Polynomial:
     __rmul__ = __mul__
 
     def scaled(self, scalar) -> "Polynomial":
-        if isinstance(scalar, int):
-            if not scalar:
-                return Polynomial.zero(self.m)
-            out = {e: (a * scalar, b * scalar) for e, (a, b) in self._terms.items()}
-            return Polynomial._packed(self.m, out, self._den)
-        if isinstance(scalar, Fraction):
-            num, den_c = scalar.numerator, scalar.denominator
-            if not num:
-                return Polynomial.zero(self.m)
-            out = {e: (a * num, b * num) for e, (a, b) in self._terms.items()}
-            return Polynomial._packed(self.m, out, self._den * den_c)
-        c = GaussianRational.of(scalar)
-        if c.is_zero():
-            return Polynomial.zero(self.m)
-        ar, ai, den_c = _numerators(c)
-        if ai == 0:
-            out = {e: (a * ar, b * ar) for e, (a, b) in self._terms.items()}
-        else:
+        ar, ai, den_c = _numerators(scalar)
+        if ai:
             out = {
                 e: (a * ar - b * ai, a * ai + b * ar) for e, (a, b) in self._terms.items()
             }
+        elif ar:
+            out = {e: (a * ar, b * ar) for e, (a, b) in self._terms.items()}
+        else:
+            return Polynomial.zero(self.m)
         return Polynomial._packed(self.m, out, self._den * den_c)
 
     def conjugate(self) -> "Polynomial":
@@ -411,41 +379,58 @@ class Polynomial:
         return hash((self.m, self._den, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
+        """The polynomial in the ``--poly`` grammar, highest term first."""
+        m = self.m
+        den = self._den
         chunks = []
-        for mono, coeff in reversed(list(self.terms())):
-            chunks.append(_render_term(mono, coeff, first=not chunks))
-        return "".join(chunks)
+        for key in sorted(self._terms, key=_graded_lex, reverse=True):
+            a, b = self._terms[key]
+            # A real or pure imaginary coefficient's sign becomes the term's operator.
+            neg = (a < 0) if not b else (not a and b < 0)
+            if neg:
+                a, b = -a, -b
+            coeff = _grammar_text(a, b, den)
+            if not key:
+                body = coeff
+            else:
+                mono = _monomial_text(exponents(key, m), m)
+                body = mono if coeff == "1" else f"{coeff}*{mono}"
+            if chunks:
+                chunks.append(" - " if neg else " + ")
+            elif neg:
+                chunks.append("-")
+            chunks.append(body)
+        return "".join(chunks) or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial(m={self.m}, {self})"
 
 
-def _numerators(c: GaussianRational) -> Tuple[int, int, int]:
-    """(a, b, d) with c = (a + b i) / d, d the lcm of the two part denominators."""
-    dr, di = c.re.denominator, c.im.denominator
-    d = dr * di // gcd(dr, di)
-    return c.re.numerator * (d // dr), c.im.numerator * (d // di), d
+def _numerators(value) -> Tuple[int, int, int]:
+    """(a, b, d) with value = (a + b i) / d, for an int, a ``Fraction`` or a
+    ``GaussianRational``; d is the lcm of the two part denominators."""
+    if isinstance(value, GaussianRational):
+        re, im = value.re, value.im
+        dr, di = re.denominator, im.denominator
+        d = dr * di // gcd(dr, di)
+        return re.numerator * (d // dr), im.numerator * (d // di), d
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, 0, value.denominator
 
 
 def _build_raw(m: int, terms: Dict[Monomial, object]) -> Tuple[RawTerms, int]:
-    den = 1
+    """Numerators over the lcm of the coefficients' denominators.  Distinct
+    monomials have distinct keys, and ``_normalize`` prunes zero coefficients."""
     staged = []
+    den = 1
     for mono, coeff in terms.items():
-        a, b, dc = _numerators(GaussianRational.of(coeff))
-        if a or b:
-            staged.append((mono.key(), a, b, dc))
-            den = den // gcd(den, dc) * dc
-    raw: RawTerms = {}
-    for e, a, b, dc in staged:
-        f = den // dc
-        a, b = a * f, b * f
-        cur = raw.get(e)
-        if cur is None:
-            raw[e] = (a, b)
-        else:
-            raw[e] = (cur[0] + a, cur[1] + b)
+        if mono.m != m:
+            raise DimensionMismatch("monomial length does not match m")
+        a, b, dc = _numerators(coeff)
+        staged.append((mono.key(), a, b, dc))
+        den = den // gcd(den, dc) * dc
+    raw = {e: (a * (den // dc), b * (den // dc)) for e, a, b, dc in staged}
     return _normalize(raw, den)
 
 
@@ -465,34 +450,12 @@ def _gaussian_text(a: int, b: int, den: int) -> str:
     return _fraction_text(a, den) + ("+" if b > 0 else "-") + imag
 
 
-def _render_coeff_grammar(c: GaussianRational) -> str:
-    """Render a coefficient so the CLI grammar can re-parse it."""
-    if not c.im:
-        return str(c.re)
-    if not c.re:
-        q = c.im
-        if q == 1:
-            return "i"
-        if q == -1:
-            return "-i"
-        return f"{q}*i"
-    im = "i" if abs(c.im) == 1 else f"{abs(c.im)}*i"
-    sign = "+" if c.im > 0 else "-"
-    return f"({c.re}{sign}{im})"
-
-
-def _render_term(mono: Monomial, coeff: GaussianRational, first: bool) -> str:
-    mono_str = str(mono)
-    cs = _render_coeff_grammar(coeff)
-    neg = cs.startswith("-") and not cs.startswith("(")
-    if neg:
-        cs = cs[1:]
-    if mono_str == "1":
-        body = cs
-    elif cs == "1":
-        body = mono_str
-    else:
-        body = f"{cs}*{mono_str}"
-    if first:
-        return ("-" if neg else "") + body
-    return (" - " if neg else " + ") + body
+def _grammar_text(a: int, b: int, den: int) -> str:
+    """(a + b i) / den for den > 0 in the ``--poly`` grammar, which parses it
+    back: "-3/2", "-1/2*i", "(1-2*i)"."""
+    if not b:
+        return _fraction_text(a, den)
+    imag = "i" if abs(b) == den else _fraction_text(abs(b), den) + "*i"
+    if not a:
+        return imag if b > 0 else "-" + imag
+    return "(" + _fraction_text(a, den) + ("+" if b > 0 else "-") + imag + ")"

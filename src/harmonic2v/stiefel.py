@@ -173,9 +173,8 @@ def sphere_integrate(p: Polynomial) -> SphereIntegral:
     half-integer Gamma values cancel one sqrt(pi)).
     """
     m = p.m
-    for mono, _ in p.terms():
-        if any(mono.uexp):
-            raise ValueError("sphere integration expects a polynomial in x only")
+    if any(ku for _, ku in p.bidegree_split()):
+        raise ValueError("sphere integration expects a polynomial in x only")
     half_m = Fraction(m, 2)
     acc = GaussianRational()
     q = p

@@ -1,6 +1,6 @@
 """Reference routes for the tests: the sequential peel, the term-by-term
-extremal projection, the fibration integral over V_2(R^m) and the decompose
-document through ``json.dumps``.
+extremal projection, the fibration integral over V_2(R^m), the polynomial text
+rendered from ``terms()`` and the decompose document through ``json.dumps``.
 
 The peel shares the library's building blocks (``double_fischer``, the
 generators and ``ladder_alpha``) but not its projections: instead of
@@ -16,9 +16,14 @@ The fibration integral averages u over the sphere of x^perp and then x over
 S^{m-1}, with Pizzetti's formula on each sphere; it shares no code with the
 library's Stiefel path (``gamma_constant``, ``_pi_ij``, ``cross_dd``).
 
+The polynomial text is rendered term by term from the ``Monomial`` and
+``GaussianRational`` that ``terms()`` yields, where ``str(Polynomial)`` reads
+the packed keys and integer numerators.
+
 The decompose document is built as nested dicts, one per harmonic term from
 ``str()`` of the ``Monomial`` and ``GaussianRational`` that ``terms()``
-yields, and encoded by ``json.dumps``; the CLI writes the same bytes directly.
+yields, with its input rendered by ``polynomial_text``, and encoded by
+``json.dumps``; the CLI writes the same bytes directly.
 """
 
 import json
@@ -148,6 +153,49 @@ def stiefel_fibration_integral(p: Polynomial) -> GaussianRational:
     return total / sphere_integrate(Polynomial.constant(m, 1)).coefficient
 
 
+def _coeff_grammar(c: GaussianRational) -> str:
+    """A coefficient in the ``--poly`` grammar, which parses it back."""
+    if not c.im:
+        return str(c.re)
+    if not c.re:
+        q = c.im
+        if q == 1:
+            return "i"
+        if q == -1:
+            return "-i"
+        return f"{q}*i"
+    im = "i" if abs(c.im) == 1 else f"{abs(c.im)}*i"
+    sign = "+" if c.im > 0 else "-"
+    return f"({c.re}{sign}{im})"
+
+
+def _term_text(mono, coeff: GaussianRational, first: bool) -> str:
+    mono_str = str(mono)
+    cs = _coeff_grammar(coeff)
+    neg = cs.startswith("-") and not cs.startswith("(")
+    if neg:
+        cs = cs[1:]
+    if mono_str == "1":
+        body = cs
+    elif cs == "1":
+        body = mono_str
+    else:
+        body = f"{cs}*{mono_str}"
+    if first:
+        return ("-" if neg else "") + body
+    return (" - " if neg else " + ") + body
+
+
+def polynomial_text(p: Polynomial) -> str:
+    """``str(p)``: the terms in the ``--poly`` grammar, highest first."""
+    if p.is_zero():
+        return "0"
+    chunks = []
+    for mono, coeff in reversed(list(p.terms())):
+        chunks.append(_term_text(mono, coeff, first=not chunks))
+    return "".join(chunks)
+
+
 def decomposition_json(result: DecompositionResult, check: str) -> str:
     """The decompose command's JSON document (without the final newline)."""
     components = []
@@ -168,7 +216,7 @@ def decomposition_json(result: DecompositionResult, check: str) -> str:
         components.append(component)
     doc = {
         "schema": "harmonic2v/1",
-        "input": str(result.source),
+        "input": polynomial_text(result.source),
         "m": result.m,
         "strategy": "direct",
         "components": components,

@@ -238,6 +238,35 @@ def test_cli_integrate_sphere_rejects_mc_samples(capsys):
     assert "--mc-samples" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--manifold", "sphere", "--seed", "5"],
+        ["--seed", "5"],
+        ["--seed", "0"],
+        ["--manifold", "sphere", "--mc-samples", "100", "--seed", "5"],
+    ],
+)
+def test_cli_integrate_rejects_seed_without_monte_carlo(extra, capsys):
+    # with no Monte Carlo check a seed changes nothing, so it must not pass silently
+    with pytest.raises(SystemExit) as err:
+        main(["integrate", "--m", "5", "--poly", "1"] + extra)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_integrate_monte_carlo_seed_defaults_to_zero(capsys):
+    argv = ["integrate", "--m", "5", "--poly", "x1^2*u2^2", "--mc-samples", "500"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--seed", "0"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(argv + ["--seed", "1"]) == 0
+    assert capsys.readouterr().out != default
+
+
 def test_cli_integrate_with_monte_carlo(capsys):
     code = main(
         ["integrate", "--m", "5", "--poly", "x1^2", "--mc-samples", "20000", "--seed", "7"]
@@ -327,6 +356,16 @@ def test_cli_rejects_out_of_range_mc_samples(samples, capsys):
     assert "argument --mc-samples" in stderr and "Traceback" not in stderr
 
 
+def test_cli_poly_starting_with_minus_needs_equals_form(capsys):
+    assert main(["decompose", "--m", "5", "--poly=-x1*u1"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == "-x1*u1"
+    with pytest.raises(SystemExit) as err:
+        main(["decompose", "--m", "5", "--poly", "-x1*u1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --poly" in captured.err and "Traceback" not in captured.err
+
+
 def test_cli_usage_error_exit_code():
     for argv in (["decompose", "--m", "5"], ["integrate", "--m", "5"]):
         with pytest.raises(SystemExit) as err:
@@ -338,6 +377,10 @@ def test_cli_usage_error_exit_code():
     "argv",
     [
         ["integrate", "--m", "0", "--poly", "1", "--manifold", "sphere"],
+        ["integrate", "--m", str(cli.MAX_M + 1), "--poly", "x1^2*u1^2"],
+        ["decompose", "--m", str(cli.MAX_M + 1), "--poly", "x1*u1"],
+        ["decompose", "--m", str(10**9), "--poly", "x1*u1"],
+        ["verify", "--suite", "pizzetti", "--m", str(cli.MAX_M + 1)],
         ["verify", "--suite", "orthogonality", "--max-bidegree", "-1"],
         ["verify", "--suite", "pizzetti", "--max-bidegree", "-1"],
         ["verify", "--suite", "relations", "--m", "0"],

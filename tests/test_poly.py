@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harmonic2v import DimensionMismatch, ExponentOutOfRange, GaussianRational, Monomial, Polynomial
+from harmonic2v import DimensionMismatch, ExponentOutOfRange, GaussianRational, Monomial, Polynomial, parse_poly
 from harmonic2v.rationals import GAUSSIAN_I
 
 from conftest import poly
+from reference import polynomial_text
 
 
 def test_additive_inverse():
@@ -73,7 +74,8 @@ def test_dimension_mismatch():
 def test_monomial_ordering_and_str():
     a = Monomial((2, 0, 0, 0, 0), (0, 0, 0, 0, 0))
     b = Monomial((1, 0, 0, 0, 0), (1, 0, 0, 0, 0))
-    assert (a < b) == (a.sort_key() < b.sort_key())
+    # terms() orders by total degree, then by the exponent word x1..xm, u1..um
+    assert [mono for mono, _ in Polynomial(5, {a: 1, b: 1}).terms()] == [b, a]
     assert str(b) == "x1*u1"
     assert str(Monomial((0,) * 5, (0,) * 5)) == "1"
 
@@ -167,3 +169,47 @@ def test_conjugate_is_involution(rng):
 def test_swap_vectors_involution(rng):
     p = _random_poly(5, rng)
     assert p.swap_vectors().swap_vectors() == p
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def text_cases(draw):
+    """(m, {Monomial: coefficient}) at m = 1..10, with constant terms, unit and
+    pure imaginary coefficients drawn often."""
+    m = draw(st.integers(1, 10))
+    exps = st.one_of(st.just((0,) * m), st.tuples(*[st.integers(0, 3)] * m))
+    coeffs = st.one_of(
+        st.sampled_from([1, -1, GAUSSIAN_I, -GAUSSIAN_I]),
+        st.builds(GaussianRational, st.just(0), _FRACTIONS),
+        st.builds(GaussianRational, _FRACTIONS, _FRACTIONS),
+    )
+    data = {}
+    for _ in range(draw(st.integers(0, 5))):
+        data[Monomial(draw(exps), draw(exps))] = draw(coeffs)
+    return m, data
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_cases())
+@example((3, {}))
+@example(
+    (2, {
+        Monomial((0, 0), (0, 0)): GaussianRational(Fraction(-3, 2)),
+        Monomial((1, 0), (0, 0)): -1,
+        Monomial((0, 1), (0, 0)): GAUSSIAN_I,
+        Monomial((0, 0), (1, 0)): -GAUSSIAN_I,
+        Monomial((0, 0), (0, 1)): GaussianRational(0, Fraction(-2, 3)),
+        Monomial((1, 1), (0, 0)): GaussianRational(1, -1),
+        Monomial((2, 0), (0, 0)): GaussianRational(Fraction(-1, 2), Fraction(5, 4)),
+    })
+)
+def test_str_matches_reference_and_parses_back(case):
+    m, terms = case
+    p = Polynomial(m, terms)
+    text = str(p)
+    assert text == polynomial_text(p)
+    assert parse_poly(text, m) == p
+    # a zero coefficient adds no term; exponent 4 is never drawn, so the key is new
+    assert Polynomial(m, {**terms, Monomial((4,) * m, (0,) * m): 0}) == p

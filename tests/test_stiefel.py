@@ -255,8 +255,9 @@ def test_sphere_normsq_restriction():
 
 
 def test_sphere_rejects_u_variables():
-    with pytest.raises(ValueError):
-        sphere_integrate(poly("u1", 5))
+    for text in ("u1", "x1^2 + x2*u1"):
+        with pytest.raises(ValueError):
+            sphere_integrate(poly(text, 5))
 
 
 def _double_factorial(n):
