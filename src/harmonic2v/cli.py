@@ -23,8 +23,9 @@ from .suites import SUITE_NAMES, run_suite
 SCHEMA = "harmonic2v/1"
 
 #: Largest ``--mc-samples`` accepted.  A three-term input at m = 5 takes about
-#: 1 s per 10^6 frames on a 2-CPU x86_64 host, so the limit keeps a run to
-#: minutes; frames are drawn in fixed chunks, so memory does not grow with it.
+#: 0.5 s per 10^6 frames on a 2-CPU x86_64 host (5.3 s for 10^7), so the limit
+#: keeps a run to about a minute; frames are drawn in fixed chunks into one
+#: reused buffer of 2m x 65,536 doubles (m MiB), so memory does not grow with it.
 MAX_MC_SAMPLES = 10**8
 
 #: Largest ``verify --max-bidegree`` accepted.  The orthogonality suite checks
@@ -33,11 +34,18 @@ MAX_MC_SAMPLES = 10**8
 #: at 6 on a 2-CPU x86_64 host.
 MAX_VERIFY_BIDEGREE = 4
 
+#: Largest ``verify --suite ladder --m`` accepted.  The suite builds its
+#: generator chains term by term at every m, so its cost grows steeply: about
+#: 1.3 s at m = 5, 4.0 s at 8, 10.5 s at 12 and 23 s at 16 on a 2-CPU x86_64
+#: host (the other suites take at most about 3 s at m = 64).
+MAX_LADDER_M = 12
+
 #: Largest ``--m`` accepted.  A key holds 2m bytes and every operator atom makes
 #: m shifted copies of each term, so the cost grows fast with m even for a
 #: one-term input.  On a 2-CPU x86_64 host ``integrate --poly x1^2*u1^2`` takes
-#: 0.2 s at m = 64 and 1.3 s at 256, but ``x1^4*u1^4`` already takes 1.0 s and
-#: 119 MB at 32, and 29 s and 1.5 GB at 64.
+#: 0.4 s and 30 MB at m = 64, but ``x1^4*u1^4`` already takes 2.6 s and 118 MB
+#: at 32, and took 29 s and 1.5 GB at 64.  A Monte Carlo check adds its m MiB
+#: row buffer: ``x1^2*u1^2 + x2^2*u3^2`` with 200,000 frames peaks at 119 MB at 64.
 MAX_M = 64
 
 
@@ -211,6 +219,8 @@ def main(argv: Optional[list] = None) -> int:
             parser.error("argument --seed: applies to --manifold stiefel2 with --mc-samples only")
         if args.manifold == "sphere" and args.mc_samples is not None:
             parser.error("argument --mc-samples: applies to --manifold stiefel2 only")
+    if args.command == "verify" and args.suite == "ladder" and args.m > MAX_LADDER_M:
+        parser.error(f"argument --m: must be <= {MAX_LADDER_M} with --suite ladder, got {args.m}")
     try:
         return args.fn(args)
     except (

@@ -198,6 +198,9 @@ def sphere_integrate(p: Polynomial) -> SphereIntegral:
 # -- Monte Carlo oracle ----------------------------------------------------------
 
 _MC_CHUNK = 1 << 16
+#: Frames orthonormalized at a time: a chunk is drawn and orthonormalized in
+#: blocks of this many rows, so the temporaries stay small beside the row buffer.
+_MC_BLOCK = 1 << 12
 
 
 def _chunk_plan(n: int, chunk: int = _MC_CHUNK) -> List[Tuple[int, int]]:
@@ -213,52 +216,62 @@ def _chunk_plan(n: int, chunk: int = _MC_CHUNK) -> List[Tuple[int, int]]:
     return plan
 
 
-def _haar_frames(m: int, count: int, seed: int, chunk_index: int):
+def _haar_frames(m: int, count: int, seed: int, chunk_index: int, out=None):
     """Haar-distributed orthonormal 2-frames via Gaussian draws + Gram-Schmidt.
 
-    Each chunk owns an independent counter-based substream keyed by
-    (seed, chunk_index), so any partition of chunks across workers reproduces
-    the sequential stream exactly.
+    Returns (omega, eta) as m x count coordinate-row views of ``out``, a
+    (2m, >= count) buffer allocated when not given.  Each chunk owns an
+    independent counter-based substream keyed by (seed, chunk_index), so any
+    partition of chunks across workers reproduces the sequential stream
+    exactly.  The chunk is drawn and orthonormalized in order, in blocks of
+    ``_MC_BLOCK`` frames, which gives the frames of drawing it all at once; a
+    degenerate draw (norm < 1e-12) is redrawn right after its block, not
+    after the whole chunk.
     """
     key = (np.uint64(seed & (2**64 - 1)), np.uint64(chunk_index))
     rng = np.random.Generator(np.random.Philox(key=key))
-    g = rng.standard_normal((count, 2, m))
-    while True:
-        n1 = np.linalg.norm(g[:, 0, :], axis=1)
-        bad = n1 < 1e-12
-        if not bad.any():
-            break
-        g[bad, 0, :] = rng.standard_normal((int(bad.sum()), m))
-    omega = g[:, 0, :] / n1[:, None]
-    v = g[:, 1, :] - (g[:, 1, :] * omega).sum(axis=1)[:, None] * omega
-    while True:
-        n2 = np.linalg.norm(v, axis=1)
-        bad = n2 < 1e-12
-        if not bad.any():
-            break
-        fresh = rng.standard_normal((int(bad.sum()), m))
-        fresh -= (fresh * omega[bad]).sum(axis=1)[:, None] * omega[bad]
-        v[bad] = fresh
-    eta = v / n2[:, None]
-    return omega, eta
+    if out is None:
+        out = np.empty((2 * m, count))
+    for start in range(0, count, _MC_BLOCK):
+        stop = min(start + _MC_BLOCK, count)
+        g = rng.standard_normal((stop - start, 2, m))
+        while True:
+            n1 = np.linalg.norm(g[:, 0, :], axis=1)
+            bad = n1 < 1e-12
+            if not bad.any():
+                break
+            g[bad, 0, :] = rng.standard_normal((int(bad.sum()), m))
+        omega = g[:, 0, :] / n1[:, None]
+        v = g[:, 1, :] - (g[:, 1, :] * omega).sum(axis=1)[:, None] * omega
+        while True:
+            n2 = np.linalg.norm(v, axis=1)
+            bad = n2 < 1e-12
+            if not bad.any():
+                break
+            fresh = rng.standard_normal((int(bad.sum()), m))
+            fresh -= (fresh * omega[bad]).sum(axis=1)[:, None] * omega[bad]
+            v[bad] = fresh
+        out[:m, start:stop] = omega.T
+        out[m:, start:stop] = (v / n2[:, None]).T
+    return out[:m, :count], out[m:, :count]
 
 
 def _eval_on_frames(p: Polynomial, omega, eta):
-    """Vectorized real-part evaluation of p on a batch of frames."""
+    """Vectorized real-part evaluation of p on frames given as m x count coordinate rows."""
     m = p.m
-    vals = np.zeros(omega.shape[0])
+    vals = np.zeros(omega.shape[1])
     den = float(p._den)
     for key, (a, b) in p._terms.items():
+        if not a:
+            continue  # imaginary coefficients do not contribute to the real part
         e = exponents(key, m)
-        term = np.ones(omega.shape[0])
+        term = np.ones(omega.shape[1])
         for i in range(m):
             if e[i]:
-                term = term * omega[:, i] ** e[i]
+                term *= omega[i] ** e[i]
             if e[m + i]:
-                term = term * eta[:, i] ** e[m + i]
-        if a:
-            vals += (a / den) * term
-        # imaginary coefficients do not contribute to the real part
+                term *= eta[i] ** e[m + i]
+        vals += (a / den) * term
     return vals
 
 
@@ -266,7 +279,7 @@ def monte_carlo_many(
     polys: Sequence[Polynomial], n: int, seed: int
 ) -> List[Tuple[float, float]]:
     """(estimate, stderr) of the real part of each polynomial, sharing one
-    frame stream across all of them."""
+    frame stream and one 2m x 65,536 row buffer across all of them."""
     if n < 1:
         raise ValueError("need at least one sample")
     if not polys:
@@ -276,8 +289,9 @@ def monte_carlo_many(
         raise ValueError("all polynomials must share the ambient dimension")
     sums = [0.0] * len(polys)
     sqsums = [0.0] * len(polys)
+    rows = np.empty((2 * m, min(n, _MC_CHUNK)))  # reused by every chunk
     for chunk_index, count in _chunk_plan(n):
-        omega, eta = _haar_frames(m, count, seed, chunk_index)
+        omega, eta = _haar_frames(m, count, seed, chunk_index, rows)
         for t, q in enumerate(polys):
             vals = _eval_on_frames(q, omega, eta)
             sums[t] += float(vals.sum())

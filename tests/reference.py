@@ -24,12 +24,19 @@ The decompose document is built as nested dicts, one per harmonic term from
 ``str()`` of the ``Monomial`` and ``GaussianRational`` that ``terms()``
 yields, with its input rendered by ``polynomial_text``, and encoded by
 ``json.dumps``; the CLI writes the same bytes directly.
+
+The Monte Carlo oracle orthonormalizes a whole chunk of Haar frames at once
+into (count, m) arrays and evaluates each polynomial on their columns, where
+the library streams each chunk in blocks through one reused coordinate-row
+buffer; both draw each chunk from the same Philox substream.
 """
 
 import json
 from fractions import Fraction
-from math import factorial, prod
-from typing import List, Tuple
+from math import factorial, prod, sqrt
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from harmonic2v import GaussianRational, GeneratorTag, Polynomial, double_fischer, ladder_alpha, sphere_integrate
 from harmonic2v.decomp import (
@@ -39,6 +46,8 @@ from harmonic2v.decomp import (
     SimplicialComponent,
 )
 from harmonic2v.operators import laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x, skew_xu
+from harmonic2v.poly import exponents
+from harmonic2v.stiefel import _chunk_plan
 from harmonic2v.transvector import chain
 
 _A, _S_X = GeneratorTag.A, GeneratorTag.S_X
@@ -223,3 +232,63 @@ def decomposition_json(result: DecompositionResult, check: str) -> str:
         "reconstruction_check": check,
     }
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def haar_frames_whole_chunk(m: int, count: int, seed: int, chunk_index: int):
+    """The (count, m) arrays omega and eta of one chunk, orthonormalized at once."""
+    key = (np.uint64(seed & (2**64 - 1)), np.uint64(chunk_index))
+    rng = np.random.Generator(np.random.Philox(key=key))
+    g = rng.standard_normal((count, 2, m))
+    while True:
+        n1 = np.linalg.norm(g[:, 0, :], axis=1)
+        bad = n1 < 1e-12
+        if not bad.any():
+            break
+        g[bad, 0, :] = rng.standard_normal((int(bad.sum()), m))
+    omega = g[:, 0, :] / n1[:, None]
+    v = g[:, 1, :] - (g[:, 1, :] * omega).sum(axis=1)[:, None] * omega
+    while True:
+        n2 = np.linalg.norm(v, axis=1)
+        bad = n2 < 1e-12
+        if not bad.any():
+            break
+        fresh = rng.standard_normal((int(bad.sum()), m))
+        fresh -= (fresh * omega[bad]).sum(axis=1)[:, None] * omega[bad]
+        v[bad] = fresh
+    eta = v / n2[:, None]
+    return omega, eta
+
+
+def eval_on_frame_columns(p: Polynomial, omega, eta):
+    """Real part of p on each frame, reading coordinates as array columns."""
+    m = p.m
+    vals = np.zeros(omega.shape[0])
+    den = float(p._den)
+    for key, (a, b) in p._terms.items():
+        e = exponents(key, m)
+        term = np.ones(omega.shape[0])
+        for i in range(m):
+            if e[i]:
+                term = term * omega[:, i] ** e[i]
+            if e[m + i]:
+                term = term * eta[:, i] ** e[m + i]
+        if a:
+            vals += (a / den) * term
+    return vals
+
+
+def monte_carlo_whole_chunks(polys: Sequence[Polynomial], n: int, seed: int) -> List[Tuple[float, float]]:
+    """(estimate, stderr) of each polynomial's real part, chunk by chunk."""
+    sums = [0.0] * len(polys)
+    sqsums = [0.0] * len(polys)
+    for chunk_index, count in _chunk_plan(n):
+        omega, eta = haar_frames_whole_chunk(polys[0].m, count, seed, chunk_index)
+        for t, q in enumerate(polys):
+            vals = eval_on_frame_columns(q, omega, eta)
+            sums[t] += float(vals.sum())
+            sqsums[t] += float((vals * vals).sum())
+    out = []
+    for total, sq in zip(sums, sqsums):
+        mean = total / n
+        out.append((mean, sqrt(max(sq / n - mean * mean, 0.0) / n)))
+    return out

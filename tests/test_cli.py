@@ -305,6 +305,15 @@ def test_cli_verify_ladder_vacuous(capsys):
     assert code == 0 and out["passed"] is True
 
 
+def test_cli_verify_ladder_bounds_m(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "ladder", "--m", str(cli.MAX_LADDER_M + 1), "--max-bidegree", "0"])
+    assert err.value.code == 2
+    assert f"must be <= {cli.MAX_LADDER_M} with --suite ladder" in capsys.readouterr().err
+    # the bound is the ladder suite's own: another suite still runs at that m
+    assert main(["verify", "--suite", "appendix", "--m", str(cli.MAX_LADDER_M + 1)]) == 0
+
+
 # -- error handling -----------------------------------------------------------------
 
 
@@ -385,6 +394,7 @@ def test_cli_usage_error_exit_code():
         ["verify", "--suite", "pizzetti", "--max-bidegree", "-1"],
         ["verify", "--suite", "relations", "--m", "0"],
         ["verify", "--suite", "orthogonality", "--max-bidegree", str(cli.MAX_VERIFY_BIDEGREE + 1)],
+        ["verify", "--suite", "ladder", "--m", str(cli.MAX_LADDER_M + 1)],
         ["verify", "--suite", "relations", "--max-bidegree", str(10**6)],
     ],
 )
@@ -424,6 +434,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         (
             "decompose_mirrored_m5_text",
             ["decompose", "--m", "5", "--poly", "x1*u2^2 - 2/3*x2*u1*u3 + i*u1^3", "--format", "text"],
+        ),
+        (
+            "integrate_mc_x1sq_u2sq_m5",
+            ["integrate", "--m", "5", "--poly", "x1^2*u2^2", "--mc-samples", "100000", "--seed", "3"],
+        ),
+        (
+            "integrate_mc_m9",
+            [
+                "integrate", "--m", "9", "--poly", "x1^2*u1^2 - 3/2*x2*x3*u2*u3 + 4*x9^4 + 2",
+                "--mc-samples", "70000", "--seed", "11",
+            ],
         ),
     ],
 )

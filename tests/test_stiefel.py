@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,10 @@ from harmonic2v import (
 )
 from harmonic2v.operators import mul_inner_ux, mul_normsq_u, mul_normsq_x
 from harmonic2v.sampling import random_bihomogeneous, random_coefficient, random_polynomial
-from harmonic2v.stiefel import _chunk_plan, _haar_frames, _eval_on_frames
+from harmonic2v.stiefel import _MC_CHUNK, _chunk_plan, _haar_frames, _eval_on_frames
 
 from conftest import inner_ux, normsq_u, normsq_x, one, poly
-from reference import stiefel_fibration_integral
+from reference import monte_carlo_whole_chunks, stiefel_fibration_integral
 
 
 def test_gegenbauer_low_degrees():
@@ -347,6 +348,35 @@ def test_monte_carlo_partition_invariance():
     mean = total / n
     err = math.sqrt(max(sq / n - mean * mean, 0.0) / n)
     assert mean == seq_est and err == seq_err
+
+
+# numpy sums a row of 8 or more terms pairwise and a shorter one in sequence;
+# the sample counts straddle a block (4,096 frames) and a chunk (65,536 frames)
+@pytest.mark.parametrize("m", [5, 7, 8, 9, 16])
+def test_monte_carlo_matches_whole_chunk_oracle(m):
+    polys = [
+        poly("x1^2*u2^2", m),
+        poly(f"(1/2-3/4*i)*x1^3*u{m}^3 + i*x2^2 - 2/7*x{m}^5*u1*u2^4", m),
+        poly("7/3", m),
+        poly(f"x1*x2*u1*u2 + 5*x{m - 1}^2*u{m}^6 - 3*u1^2", m),
+    ]
+    for n in (1, 4095, 4097, 65537, 150000):
+        got = monte_carlo_many(polys, n, seed=m + n)
+        assert got == monte_carlo_whole_chunks(polys, n, seed=m + n), n
+
+
+@pytest.mark.parametrize("m", [8, 32])
+def test_monte_carlo_memory_stays_near_one_row_buffer(m):
+    # tracemalloc sees numpy's array memory; the buffer holds 2m coordinate rows of a chunk
+    p = poly("x1^2*u1^2 + x2^2*u3^2", m)
+    row_buffer = 2 * m * _MC_CHUNK * 8
+    tracemalloc.start()
+    try:
+        stiefel_monte_carlo(p, 200_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * row_buffer
 
 
 def test_monte_carlo_agrees_with_exact(rng):
