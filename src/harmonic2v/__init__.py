@@ -30,7 +30,6 @@ from .fischer import (
     DoubleFischerComponent,
     double_fischer,
     fischer_inner_product,
-    fischer_inner_product_by_differentiation,
     sphere_fischer_project,
     verify_adjoints,
 )

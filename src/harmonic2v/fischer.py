@@ -128,27 +128,6 @@ def fischer_inner_product(p: Polynomial, q: Polynomial) -> GaussianRational:
     return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
 
 
-def fischer_inner_product_by_differentiation(p: Polynomial, q: Polynomial) -> GaussianRational:
-    """Reference path: literally apply conj(P)(d) to Q and read the constant term.
-
-    Slow; kept as the independent oracle for ``fischer_inner_product``.
-    """
-    if p.m != q.m:
-        raise DimensionMismatch("inner product of polynomials over different m")
-    m = p.m
-    total = GaussianRational()
-    for mono, coeff in p.terms():
-        d = q
-        for i, e in enumerate(mono.xexp):
-            for _ in range(e):
-                d = d.partial("x", i + 1)
-        for i, e in enumerate(mono.uexp):
-            for _ in range(e):
-                d = d.partial("u", i + 1)
-        total = total + coeff.conjugate() * d.constant_term()
-    return total
-
-
 def verify_adjoints(pairs: Sequence[Tuple[Polynomial, Polynomial]]) -> Dict[str, List[bool]]:
     """Check generator adjointness <Cp,q> = <p,Aq>, <S_u p,q> = <p,S_x q>, and
     self-adjointness of the double-harmonic projection, on sample pairs.

@@ -340,27 +340,6 @@ class Polynomial:
         out = {e: (a, -b) for e, (a, b) in self._terms.items()}
         return Polynomial._packed(self.m, out, self._den)
 
-    def partial(self, axis: str, index: int) -> "Polynomial":
-        """Exact partial derivative with respect to x_index or u_index (1-based)."""
-        if axis not in ("x", "u"):
-            raise ValueError("axis must be 'x' or 'u'")
-        if not 1 <= index <= self.m:
-            raise VariableOutOfRange(f"{axis}{index} out of range for m={self.m}")
-        shift = field_shift(self.m, axis, index)
-        one = 1 << shift
-        out: RawTerms = {}
-        for e, (a, b) in self._terms.items():
-            k = (e >> shift) & FIELD_MASK
-            if not k:
-                continue
-            ne = e - one
-            cur = out.get(ne)
-            if cur is None:
-                out[ne] = (a * k, b * k)
-            else:
-                out[ne] = (cur[0] + a * k, cur[1] + b * k)
-        return Polynomial._packed(self.m, out, self._den)
-
     def swap_vectors(self) -> "Polynomial":
         """Exchange the roles of x and u."""
         half = FIELD_BITS * self.m

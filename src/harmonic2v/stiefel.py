@@ -6,7 +6,9 @@ contribute: the zonal embedding of the trivial component is a Gegenbauer
 polynomial in <u, x> whose constant term vanishes in odd degree.
 
 Floating point appears only in the Monte Carlo oracle; the Pizzetti paths are
-exact end to end.
+exact end to end.  numpy is imported only inside that oracle (``_haar_frames``,
+``_eval_on_frames`` and ``monte_carlo_many``, reached through ``--mc-samples``
+and ``stiefel_monte_carlo``), so the exact library never loads it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .fischer import _pi_ij, mul_norm_powers
 from .operators import cross_dd, laplacian_x, mul_inner_ux
@@ -228,6 +228,8 @@ def _haar_frames(m: int, count: int, seed: int, chunk_index: int, out=None):
     degenerate draw (norm < 1e-12) is redrawn right after its block, not
     after the whole chunk.
     """
+    import numpy as np
+
     key = (np.uint64(seed & (2**64 - 1)), np.uint64(chunk_index))
     rng = np.random.Generator(np.random.Philox(key=key))
     if out is None:
@@ -258,6 +260,8 @@ def _haar_frames(m: int, count: int, seed: int, chunk_index: int, out=None):
 
 def _eval_on_frames(p: Polynomial, omega, eta):
     """Vectorized real-part evaluation of p on frames given as m x count coordinate rows."""
+    import numpy as np
+
     m = p.m
     vals = np.zeros(omega.shape[1])
     den = float(p._den)
@@ -280,6 +284,8 @@ def monte_carlo_many(
 ) -> List[Tuple[float, float]]:
     """(estimate, stderr) of the real part of each polynomial, sharing one
     frame stream and one 2m x 65,536 row buffer across all of them."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("need at least one sample")
     if not polys:

@@ -25,6 +25,11 @@ The decompose document is built as nested dicts, one per harmonic term from
 yields, with its input rendered by ``polynomial_text``, and encoded by
 ``json.dumps``; the CLI writes the same bytes directly.
 
+The Fischer inner product is computed by literally differentiating: conj(P)(d)
+is applied to Q one partial derivative at a time and the constant term read,
+where the library pairs the shared support of P and Q with exponent
+factorials.
+
 The Monte Carlo oracle orthonormalizes a whole chunk of Haar frames at once
 into (count, m) arrays and evaluates each polynomial on their columns, where
 the library streams each chunk in blocks through one reused coordinate-row
@@ -38,7 +43,16 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from harmonic2v import GaussianRational, GeneratorTag, Polynomial, double_fischer, ladder_alpha, sphere_integrate
+from harmonic2v import (
+    DimensionMismatch,
+    GaussianRational,
+    GeneratorTag,
+    Polynomial,
+    VariableOutOfRange,
+    double_fischer,
+    ladder_alpha,
+    sphere_integrate,
+)
 from harmonic2v.decomp import (
     DecompositionEntry,
     DecompositionResult,
@@ -46,7 +60,7 @@ from harmonic2v.decomp import (
     SimplicialComponent,
 )
 from harmonic2v.operators import laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x, skew_xu
-from harmonic2v.poly import exponents
+from harmonic2v.poly import FIELD_MASK, exponents, field_shift
 from harmonic2v.stiefel import _chunk_plan
 from harmonic2v.transvector import chain
 
@@ -160,6 +174,45 @@ def stiefel_fibration_integral(p: Polynomial) -> GaussianRational:
         den = 2**h * factorial(h) * prod(m - 1 + 2 * t for t in range(h))
         total = total + sphere_integrate(part).coefficient * Fraction(1, den)
     return total / sphere_integrate(Polynomial.constant(m, 1)).coefficient
+
+
+def partial(p: Polynomial, axis: str, index: int) -> Polynomial:
+    """Exact partial derivative of p with respect to x_index or u_index (1-based)."""
+    if axis not in ("x", "u"):
+        raise ValueError("axis must be 'x' or 'u'")
+    if not 1 <= index <= p.m:
+        raise VariableOutOfRange(f"{axis}{index} out of range for m={p.m}")
+    shift = field_shift(p.m, axis, index)
+    one = 1 << shift
+    out = {}
+    for e, (a, b) in p._terms.items():
+        k = (e >> shift) & FIELD_MASK
+        if not k:
+            continue
+        ne = e - one
+        cur = out.get(ne)
+        if cur is None:
+            out[ne] = (a * k, b * k)
+        else:
+            out[ne] = (cur[0] + a * k, cur[1] + b * k)
+    return Polynomial._packed(p.m, out, p._den)
+
+
+def fischer_inner_product_by_differentiation(p: Polynomial, q: Polynomial) -> GaussianRational:
+    """Apply conj(P)(d_x, d_u) to Q and read the constant term."""
+    if p.m != q.m:
+        raise DimensionMismatch("inner product of polynomials over different m")
+    total = GaussianRational()
+    for mono, coeff in p.terms():
+        d = q
+        for i, e in enumerate(mono.xexp):
+            for _ in range(e):
+                d = partial(d, "x", i + 1)
+        for i, e in enumerate(mono.uexp):
+            for _ in range(e):
+                d = partial(d, "u", i + 1)
+        total = total + coeff.conjugate() * d.constant_term()
+    return total
 
 
 def _coeff_grammar(c: GaussianRational) -> str:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 from fractions import Fraction
@@ -396,6 +399,8 @@ def test_cli_usage_error_exit_code():
         ["verify", "--suite", "orthogonality", "--max-bidegree", str(cli.MAX_VERIFY_BIDEGREE + 1)],
         ["verify", "--suite", "ladder", "--m", str(cli.MAX_LADDER_M + 1)],
         ["verify", "--suite", "relations", "--max-bidegree", str(10**6)],
+        ["integrate", "--m", "5", "--poly", "x1^2", "--mc-samples", "10", "--seed=-1"],
+        ["integrate", "--m", "5", "--poly", "x1^2", "--mc-samples", "10", "--seed", str(2**64)],
     ],
 )
 def test_cli_rejects_out_of_range_arguments(argv, capsys):
@@ -452,6 +457,41 @@ def test_cli_stdout_matches_golden(name, argv, capsys):
     suffix = ".txt" if "text" in argv else ".json"
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}{suffix}").read_text(encoding="utf-8")
+
+
+#: Runs each argv of its first argument with stdout discarded, checking that
+#: numpy is still not imported, then the argv of its second argument.
+_NUMPY_CHECK = """
+import contextlib, io, json, sys
+from harmonic2v.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert main(json.loads(sys.argv[2])) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_cli_loads_numpy_only_for_monte_carlo():
+    exact = [
+        ["decompose", "--m", "5", "--poly", "x1*u1"],
+        ["decompose", "--m", "5", "--poly", "x1*u1", "--format", "text"],
+        ["integrate", "--m", "5", "--poly", "x1^2"],
+        ["integrate", "--m", "4", "--poly", "1", "--manifold", "sphere"],
+        ["verify", "--suite", "relations", "--m", "6"],
+    ]
+    mc = ["integrate", "--m", "5", "--poly", "x1^2*u2^2", "--mc-samples", "100000", "--seed", "3"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", _NUMPY_CHECK, json.dumps(exact), json.dumps(mc)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (GOLDEN / "integrate_mc_x1sq_u2sq_m5.json").read_text(encoding="utf-8")
 
 
 @st.composite

@@ -9,7 +9,6 @@ from harmonic2v import (
     apply_generator,
     double_fischer,
     fischer_inner_product,
-    fischer_inner_product_by_differentiation,
     sphere_fischer_project,
     verify_adjoints,
 )
@@ -18,6 +17,7 @@ from harmonic2v.rationals import GAUSSIAN_I
 from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic
 
 from conftest import normsq_u, normsq_x, one, poly
+from reference import fischer_inner_product_by_differentiation
 
 
 def test_sphere_fischer_layer_zero_is_plain_projection():
