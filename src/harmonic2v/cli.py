@@ -43,10 +43,11 @@ MAX_LADDER_M = 12
 #: Largest ``--m`` accepted.  A key holds 2m bytes and every operator atom makes
 #: m shifted copies of each term, so the cost grows fast with m even for a
 #: one-term input.  On a 2-CPU x86_64 host ``integrate --poly x1^2*u1^2`` takes
-#: 0.15 s and 18 MB at m = 64, but ``x1^4*u1^4`` already takes 2.1 s and 106 MB
-#: at 32, and took 29 s and 1.5 GB at 64 (measured with numpy loaded, about
-#: 13 MB).  A Monte Carlo check loads numpy and adds its m MiB row buffer:
-#: ``x1^2*u1^2 + x2^2*u3^2`` with 200,000 frames peaks at 119 MB at 64.
+#: 0.15 s and 18 MB at m = 64, but ``x1^4*u1^4`` already takes 0.8-0.9 s and
+#: 106 MB at 32, and 38 s and 1.5 GB at 64; at 32 about nine tenths of the
+#: time is ``fischer._pi_ij``, which builds the Fischer layers through the
+#: extremal projection.  A Monte Carlo check loads numpy and adds its m MiB row
+#: buffer: ``x1^2*u1^2 + x2^2*u3^2`` with 200,000 frames peaks at 119 MB at 64.
 MAX_M = 64
 
 

@@ -3,7 +3,10 @@
 The Stiefel functional is normalized to a probability measure (the value on
 the constant 1 is 1).  Only the diagonal even-bidegree double-harmonic layers
 contribute: the zonal embedding of the trivial component is a Gegenbauer
-polynomial in <u, x> whose constant term vanishes in odd degree.
+polynomial in <u, x> whose constant term vanishes in odd degree.  Each layer
+enters through the constant term of A^{2i} applied to it, and A = <d_u, d_x>
+keeps alpha - beta of every monomial x^alpha u^beta, so only the layer's
+diagonal terms x^c u^c are carried through the chain.
 
 Floating point appears only in the Monte Carlo oracle; the Pizzetti paths are
 exact end to end.  numpy is imported only inside that oracle (``_haar_frames``,
@@ -20,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fischer import _pi_ij, mul_norm_powers
 from .operators import cross_dd, laplacian_x, mul_inner_ux
-from .poly import Polynomial, exponents
+from .poly import FIELD_BITS, Polynomial, exponents
 from .rationals import GaussianRational, rising, rising_ext
 from .transvector import _require_theory_dimension, chain, nested_sum
 
@@ -131,8 +134,23 @@ def gamma_constant(i: int, m: int) -> Fraction:
 # -- the Stiefel functional ----------------------------------------------------------
 
 
+def _diagonal_terms(p: Polynomial) -> Polynomial:
+    """The terms x^c u^c of p: those whose x-exponents equal their u-exponents."""
+    half = FIELD_BITS * p.m
+    low = (1 << half) - 1
+    return Polynomial._packed(p.m, {k: ab for k, ab in p._terms.items() if k >> half == k & low}, p._den)
+
+
 def _stiefel_exact_part(part: Polynomial) -> GaussianRational:
-    """Exact integral of one bihomogeneous part."""
+    """Exact integral of one bihomogeneous part.
+
+    Sums gamma_i (A^{2i} H_i)(0) over the layers H_i = pi_s Delta_x^a Delta_u^b
+    of bidegree (2i, 2i).  A = <d_u, d_x> takes x^alpha u^beta to multiples of
+    x^{alpha - e_j} u^{beta - e_j}, so it never changes alpha - beta, and the
+    constant term has alpha - beta = 0: only the diagonal terms x^c u^c of H_i
+    reach it.  The chain therefore runs on those terms alone, which A maps to
+    diagonal terms again.
+    """
     p_deg, q_deg = part.bidegree()
     if p_deg % 2 or q_deg % 2:
         return GaussianRational()
@@ -141,7 +159,7 @@ def _stiefel_exact_part(part: Polynomial) -> GaussianRational:
     for i in range(min(p_deg, q_deg) // 2 + 1):
         layer = _pi_ij(part, p_deg // 2 - i, q_deg // 2 - i)
         if not layer.is_zero():
-            w = chain(layer, (cross_dd,) * (2 * i))
+            w = chain(_diagonal_terms(layer), (cross_dd,) * (2 * i))
             total = total + w.constant_term() * gamma_constant(i, part.m)
     return total
 
@@ -230,7 +248,7 @@ def _haar_frames(m: int, count: int, seed: int, chunk_index: int, out=None):
     """
     import numpy as np
 
-    key = (np.uint64(seed & (2**64 - 1)), np.uint64(chunk_index))
+    key = (np.uint64(seed), np.uint64(chunk_index))
     rng = np.random.Generator(np.random.Philox(key=key))
     if out is None:
         out = np.empty((2 * m, count))
@@ -288,6 +306,8 @@ def monte_carlo_many(
 
     if n < 1:
         raise ValueError("need at least one sample")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64 - 1], got {seed}")
     if not polys:
         return []
     m = polys[0].m

@@ -1,6 +1,7 @@
 """Reference routes for the tests: the sequential peel, the term-by-term
-extremal projection, the fibration integral over V_2(R^m), the polynomial text
-rendered from ``terms()`` and the decompose document through ``json.dumps``.
+extremal projection, the fibration and full-chain integrals over V_2(R^m), the
+polynomial text rendered from ``terms()`` and the decompose document through
+``json.dumps``.
 
 The peel shares the library's building blocks (``double_fischer``, the
 generators and ``ladder_alpha``) but not its projections: instead of
@@ -15,6 +16,9 @@ extremal series separately, where the library sums the series in nested form.
 The fibration integral averages u over the sphere of x^perp and then x over
 S^{m-1}, with Pizzetti's formula on each sphere; it shares no code with the
 library's Stiefel path (``gamma_constant``, ``_pi_ij``, ``cross_dd``).
+
+The full-chain Stiefel integral applies A^{2i} to the whole layer H_i, where
+the library first keeps only its diagonal terms x^c u^c.
 
 The polynomial text is rendered term by term from the ``Monomial`` and
 ``GaussianRational`` that ``terms()`` yields, where ``str(Polynomial)`` reads
@@ -59,9 +63,10 @@ from harmonic2v.decomp import (
     LadderIndex,
     SimplicialComponent,
 )
-from harmonic2v.operators import laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x, skew_xu
+from harmonic2v.fischer import _pi_ij
+from harmonic2v.operators import cross_dd, laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x, skew_xu
 from harmonic2v.poly import FIELD_MASK, exponents, field_shift
-from harmonic2v.stiefel import _chunk_plan
+from harmonic2v.stiefel import _chunk_plan, gamma_constant
 from harmonic2v.transvector import chain
 
 _A, _S_X = GeneratorTag.A, GeneratorTag.S_X
@@ -151,6 +156,18 @@ def extremal_projection_termwise(p: Polynomial, axes: str) -> Polynomial:
         for axis in axes:
             part = _pi_axis_termwise(part, axis)
         total = total + part
+    return total
+
+
+def stiefel_full_chain_integral(p: Polynomial) -> GaussianRational:
+    """sum_i gamma_i (A^{2i} H_i)(0) per even bidegree part, A applied to all of H_i."""
+    total = GaussianRational()
+    for (k, l), part in p.bidegree_split().items():
+        if k % 2 or l % 2:
+            continue
+        for i in range(min(k, l) // 2 + 1):
+            layer = _pi_ij(part, k // 2 - i, l // 2 - i)
+            total = total + chain(layer, (cross_dd,) * (2 * i)).constant_term() * gamma_constant(i, p.m)
     return total
 
 
@@ -289,7 +306,7 @@ def decomposition_json(result: DecompositionResult, check: str) -> str:
 
 def haar_frames_whole_chunk(m: int, count: int, seed: int, chunk_index: int):
     """The (count, m) arrays omega and eta of one chunk, orthonormalized at once."""
-    key = (np.uint64(seed & (2**64 - 1)), np.uint64(chunk_index))
+    key = (np.uint64(seed), np.uint64(chunk_index))
     rng = np.random.Generator(np.random.Philox(key=key))
     g = rng.standard_normal((count, 2, m))
     while True:

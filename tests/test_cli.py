@@ -451,6 +451,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
                 "--mc-samples", "70000", "--seed", "11",
             ],
         ),
+        (
+            "integrate_stiefel_m6",
+            [
+                "integrate", "--m", "6",
+                "--poly", "x1^4*x2^2*u1^2*u3^4 - 3/2*x1^2*x2^2*u1^2*u2^2 + 5/7*x3^6*u3^6",
+            ],
+        ),
     ],
 )
 def test_cli_stdout_matches_golden(name, argv, capsys):

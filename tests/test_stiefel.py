@@ -19,12 +19,18 @@ from harmonic2v import (
     stiefel_integrate,
     stiefel_monte_carlo,
 )
-from harmonic2v.operators import mul_inner_ux, mul_normsq_u, mul_normsq_x
+from harmonic2v.fischer import _pi_ij
+from harmonic2v.operators import cross_dd, mul_inner_ux, mul_normsq_u, mul_normsq_x
 from harmonic2v.sampling import random_bihomogeneous, random_coefficient, random_polynomial
-from harmonic2v.stiefel import _MC_CHUNK, _chunk_plan, _haar_frames, _eval_on_frames
+from harmonic2v.stiefel import _MC_CHUNK, _chunk_plan, _diagonal_terms, _haar_frames, _eval_on_frames
+from harmonic2v.transvector import chain
 
 from conftest import inner_ux, normsq_u, normsq_x, one, poly
-from reference import monte_carlo_whole_chunks, stiefel_fibration_integral
+from reference import (
+    monte_carlo_whole_chunks,
+    stiefel_fibration_integral,
+    stiefel_full_chain_integral,
+)
 
 
 def test_gegenbauer_low_degrees():
@@ -209,8 +215,8 @@ def test_stiefel_matches_sphere_marginal():
         assert stiefel_integrate(p).pizzetti_value == sphere_integrate(p).coefficient / area
 
 
-def _even_exponent_draw(m, rng, terms=3):
-    """Real combination of monomials with every exponent even, bidegree <= (8, 8)."""
+def _even_exponent_draw(m, rng, terms=3, complex_coeff=False):
+    """Combination of monomials with every exponent even, bidegree <= (8, 8)."""
     k, l = rng.randint(0, 4), rng.randint(0, 4)
     data = {}
     for _ in range(terms):
@@ -219,7 +225,7 @@ def _even_exponent_draw(m, rng, terms=3):
             xe[rng.randrange(m)] += 2
         for _ in range(l):
             ue[rng.randrange(m)] += 2
-        data[Monomial(tuple(xe), tuple(ue))] = random_coefficient(rng, complex_coeff=False)
+        data[Monomial(tuple(xe), tuple(ue))] = random_coefficient(rng, complex_coeff)
     return Polynomial(m, data)
 
 
@@ -236,6 +242,42 @@ def test_stiefel_matches_fibration_oracle(rng):
         assert value == stiefel_fibration_integral(p)
         nonzero += not value.is_zero()
     assert nonzero >= 40  # 49 of the 80 draws at this seed
+
+
+@pytest.mark.parametrize("m", [5, 6, 8, 9])
+def test_stiefel_matches_full_chain_oracle(m, rng):
+    # complex coefficients throughout; the mixed draws add parts of odd bidegree,
+    # odd-exponent terms x_a x_b u_a u_b q that integrate to nonzero, and a
+    # <u,x>^2 multiple that vanishes on the manifold
+    even = [_even_exponent_draw(m, rng, complex_coeff=True) for _ in range(8)]
+    mixed = []
+    for _ in range(6):
+        a, b = rng.sample(range(1, m + 1), 2)
+        odd = poly(f"x{a}*x{b}*u{a}*u{b}", m) * _even_exponent_draw(m, rng, terms=2, complex_coeff=True)
+        tail = random_bihomogeneous(m, 2 * rng.randint(0, 1), 2 * rng.randint(0, 1), rng, terms=2)
+        mixed.append(random_polynomial(m, 4, 4, rng, parts=3) + odd + mul_inner_ux(mul_inner_ux(tail)))
+    nonzero = 0
+    for p in even + mixed:
+        value = stiefel_integrate(p).pizzetti_value
+        assert value == stiefel_full_chain_integral(p) == stiefel_fibration_integral(p)
+        nonzero += not value.is_zero()
+    assert nonzero >= 10
+
+
+def test_cross_dd_chain_of_off_diagonal_terms_has_no_constant(rng):
+    # A keeps alpha - beta of x^alpha u^beta, so only x^c u^c reaches the constant
+    for m in (5, 8):
+        for k, l in ((2, 2), (4, 2), (4, 4), (6, 4)):
+            part = random_bihomogeneous(m, k, l, rng, complex_coeff=True)
+            part = part + mul_normsq_x(mul_normsq_u(random_bihomogeneous(m, k - 2, l - 2, rng)))
+            for i in range(1, l // 2 + 1):
+                layer = _pi_ij(part, k // 2 - i, l // 2 - i)
+                diagonal = _diagonal_terms(layer)
+                off = layer - diagonal
+                assert not off.is_zero()
+                assert chain(off, (cross_dd,) * (2 * i)).constant_term().is_zero()
+                full = chain(layer, (cross_dd,) * (2 * i)).constant_term()
+                assert chain(diagonal, (cross_dd,) * (2 * i)).constant_term() == full
 
 
 def test_sphere_surface_area_m4():
@@ -326,6 +368,21 @@ def test_monte_carlo_deterministic():
     a = stiefel_monte_carlo(p, 5000, seed=9)
     b = stiefel_monte_carlo(p, 5000, seed=10)
     assert a != b
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_monte_carlo_rejects_seed_outside_64_bits(seed):
+    # Philox takes a 64-bit key word; a masked seed would alias -1 to 2^64 - 1
+    p = poly("x1^2*u2^2", 5)
+    with pytest.raises(ValueError, match="seed"):
+        stiefel_monte_carlo(p, 100, seed)
+    with pytest.raises(ValueError, match="seed"):
+        monte_carlo_many([p], 100, seed)
+
+
+def test_monte_carlo_accepts_largest_seed():
+    p = poly("x1^2*u2^2", 5)
+    assert stiefel_monte_carlo(p, 100, 2**64 - 1) != stiefel_monte_carlo(p, 100, 0)
 
 
 def test_monte_carlo_partition_invariance():
