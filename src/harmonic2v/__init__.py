@@ -16,9 +16,7 @@ from .errors import (
 from .rationals import GaussianRational, falling, rising
 from .poly import Monomial, Polynomial
 from .transvector import (
-    GENERATOR_SHIFT,
     GeneratorTag,
-    apply_generator,
     extremal_projection_s,
     extremal_projection_u,
     extremal_projection_x,
@@ -30,8 +28,6 @@ from .fischer import (
     DoubleFischerComponent,
     double_fischer,
     fischer_inner_product,
-    sphere_fischer_project,
-    verify_adjoints,
 )
 from .decomp import (
     DecompositionEntry,
@@ -64,10 +60,8 @@ from .stiefel import (
     stiefel_monte_carlo,
 )
 from .hypergeom import (
-    PFQSpec,
     eval_pfq,
     g_sum,
-    verify_contiguous,
     verify_unit_argument_product,
     verify_g_vanishes,
     verify_product_transformation,

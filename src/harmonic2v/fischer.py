@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from .errors import DimensionMismatch
 from .operators import laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x
 from .poly import Polynomial, exponents
 from .rationals import GaussianRational, rising
-from .transvector import GeneratorTag, _axis, _pi_axis, apply_generator, chain, extremal_projection_s
+from .transvector import chain, extremal_projection_s
 
 
 def mul_norm_powers(p: Polynomial, a: int, b: int) -> Polynomial:
@@ -34,35 +34,12 @@ class DoubleFischerComponent:
     j: int
     part: Polynomial
 
-    def embedded(self) -> Polynomial:
-        return mul_norm_powers(self.part, self.i, self.j)
-
 
 @lru_cache(maxsize=4096)  # a pure function of three small ints
 def _layer_scale(degree: int, m: int, s: int) -> Fraction:
     """1 / (4^s s! (degree + m/2 - 2s)^(s)), the scalar of the |v|^{2s} Fischer
     layer |v|^{2s} pi_v Delta_v^s p of a p of degree ``degree`` in v."""
     return 1 / (4**s * factorial(s) * rising(Fraction(degree) + Fraction(m, 2) - 2 * s, s))
-
-
-def sphere_fischer_project(p: Polynomial, s: int, axis: str = "x") -> Polynomial:
-    """The |v|^{2s}-harmonic layer of a bihomogeneous polynomial (v = x or u).
-
-    Returns |v|^{2s} H with H harmonic in v; summing over s recovers p.  The
-    image Delta_v^s p is bihomogeneous, so it is projected directly.
-    """
-    if s < 0:
-        raise ValueError("layer index must be non-negative")
-    bid = p.bidegree()
-    if p.is_zero():
-        return p
-    if bid is None:
-        raise ValueError("input must be bihomogeneous")
-    lap, mul_normsq, slot = _axis(axis)
-    q = chain(p, (lap,) * s)
-    if q.is_zero():
-        return q
-    return chain(_pi_axis(q, axis), (mul_normsq,) * s).scaled(_layer_scale(bid[slot], p.m, s))
 
 
 def _pi_ij(p: Polynomial, i: int, j: int) -> Polynomial:
@@ -126,29 +103,3 @@ def fischer_inner_product(p: Polynomial, q: Polynomial) -> GaussianRational:
         total_im += (a * d - b * c) * f
     den = p._den * q._den
     return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
-
-
-def verify_adjoints(pairs: Sequence[Tuple[Polynomial, Polynomial]]) -> Dict[str, List[bool]]:
-    """Check generator adjointness <Cp,q> = <p,Aq>, <S_u p,q> = <p,S_x q>, and
-    self-adjointness of the double-harmonic projection, on sample pairs.
-
-    Pairs may be arbitrary polynomials: the projection check uses them as-is,
-    the generator checks use their double-harmonic parts.
-    """
-    report: Dict[str, List[bool]] = {"C_dagger_A": [], "S_u_dagger_S_x": [], "pi_s_selfadjoint": []}
-    for p, q in pairs:
-        report["pi_s_selfadjoint"].append(
-            fischer_inner_product(extremal_projection_s(p), q)
-            == fischer_inner_product(p, extremal_projection_s(q))
-        )
-        hp = extremal_projection_s(p)
-        hq = extremal_projection_s(q)
-        cp = apply_generator(GeneratorTag.C, hp)
-        aq = apply_generator(GeneratorTag.A, hq)
-        report["C_dagger_A"].append(fischer_inner_product(cp, hq) == fischer_inner_product(hp, aq))
-        sup = apply_generator(GeneratorTag.S_U, hp)
-        sxq = apply_generator(GeneratorTag.S_X, hq)
-        report["S_u_dagger_S_x"].append(
-            fischer_inner_product(sup, hq) == fischer_inner_product(hp, sxq)
-        )
-    return report

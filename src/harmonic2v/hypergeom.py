@@ -1,50 +1,32 @@
 """Exact evaluation of terminating generalized hypergeometric sums, and machine
-verification of the contiguous, Whipple and vanishing-sum identities that
+verification of the Whipple, product and vanishing-sum identities that
 certify the cell-projection weights."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from .decomp import _check_kl, ladder_alpha, projection_weight
 from .errors import GammaPole, IndexOutOfRange, LowerParameterPole, NonTerminating
 from .rationals import rising
 
 
-@dataclass(frozen=True)
-class PFQSpec:
-    """A terminating pFq(upper; lower; z) with rational parameters."""
+def eval_pfq(upper: Sequence, lower: Sequence, z=1) -> Fraction:
+    """Exact value of a terminating pFq(upper; lower; z) with rational parameters,
+    as a finite sum of factorial ratios.
 
-    upper: Tuple[Fraction, ...]
-    lower: Tuple[Fraction, ...]
-    argument: Fraction = Fraction(1)
-
-    @staticmethod
-    def of(upper: Sequence, lower: Sequence, argument=1) -> "PFQSpec":
-        return PFQSpec(
-            tuple(Fraction(a) for a in upper),
-            tuple(Fraction(b) for b in lower),
-            Fraction(argument),
-        )
-
-    def termination_index(self) -> int:
-        """Smallest N with some upper parameter equal to -N."""
-        candidates = [-a for a in self.upper if a <= 0 and a.denominator == 1]
-        if not candidates:
-            raise NonTerminating(f"no non-positive integer among upper parameters {self.upper}")
-        return int(min(candidates))
-
-    def balance(self) -> Fraction:
-        """k such that the series is k-balanced: sum(lower) - sum(upper)."""
-        return sum(self.lower, Fraction(0)) - sum(self.upper, Fraction(0))
-
-
-def eval_pfq(spec: PFQSpec) -> Fraction:
-    """Exact value of a terminating pFq as a finite sum of factorial ratios."""
-    n = spec.termination_index()
-    for b in spec.lower:
+    The series stops at the smallest N with -N among the upper parameters; a
+    lower parameter that reaches zero before that index is a pole.
+    """
+    upper = tuple(Fraction(a) for a in upper)
+    lower = tuple(Fraction(b) for b in lower)
+    z = Fraction(z)
+    ends = [-a for a in upper if a <= 0 and a.denominator == 1]
+    if not ends:
+        raise NonTerminating(f"no non-positive integer among upper parameters {upper}")
+    n = int(min(ends))
+    for b in lower:
         if b <= 0 and b.denominator == 1 and -b < n:
             raise LowerParameterPole(f"lower parameter {b} hits zero before termination at {n}")
     total = Fraction(0)
@@ -53,32 +35,13 @@ def eval_pfq(spec: PFQSpec) -> Fraction:
         total += term
         if j == n:
             break
-        ratio = spec.argument / (j + 1)
-        for a in spec.upper:
+        ratio = z / (j + 1)
+        for a in upper:
             ratio *= a + j
-        for b in spec.lower:
+        for b in lower:
             ratio /= b + j
         term *= ratio
     return total
-
-
-def f43(upper, lower, z=1) -> Fraction:
-    return eval_pfq(PFQSpec.of(upper, lower, z))
-
-
-def verify_contiguous(a, b, c, d, e, f, g) -> bool:
-    """Three-term relation shifting one lower parameter of a terminating 4F3(1).
-
-    A vanishing upper-parameter product zeroes the shifted series' coefficient,
-    so that (possibly non-terminating) series is never evaluated.
-    """
-    a, b, c, d, e, f, g = map(Fraction, (a, b, c, d, e, f, g))
-    lhs = f43((a, b, c, d), (e - 1, f, g))
-    rhs = f43((a, b, c, d), (e, f, g))
-    coeff = (a * b * c * d) / ((e - 1) * e * f * g)
-    if coeff:
-        rhs += coeff * f43((a + 1, b + 1, c + 1, d + 1), (e + 1, f + 1, g + 1))
-    return lhs == rhs
 
 
 def verify_whipple(a, b, z, n, u, v, w) -> bool:
@@ -99,8 +62,8 @@ def verify_whipple(a, b, z, n, u, v, w) -> bool:
     if not den_v or not den_w:
         raise GammaPole("prefactor denominator hits a non-positive integer")
     prefactor = rising(v + z, n) * rising(w + z, n) / (den_v * den_w)
-    lhs = f43((a, b, -z, -n), (u, v, w))
-    rhs = prefactor * f43(
+    lhs = eval_pfq((a, b, -z, -n), (u, v, w))
+    rhs = prefactor * eval_pfq(
         (u - a, u - b, -z, -n), (u, 1 - v - z - n, 1 - w - z - n)
     )
     return lhs == rhs
@@ -116,13 +79,13 @@ def verify_product_transformation(a, b, c, n, z) -> bool:
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
     n = int(n)
-    first = eval_pfq(PFQSpec.of((-1, a + c, b - c), (a + n, b + n), z))
+    first = eval_pfq((-1, a + c, b - c), (a + n, b + n), z)
     second = (
         Fraction(1)
         if n == 1
-        else f43((-n + 1, a + b + n + 1, a + c, b - c), (a + 1, b + 1, a + b + 1), z)
+        else eval_pfq((-n + 1, a + b + n + 1, a + c, b - c), (a + 1, b + 1, a + b + 1), z)
     )
-    third = f43((-n, a + b + n, a + c, b - c), (a + 1, b + 1, a + b + 1), z)
+    third = eval_pfq((-n, a + b + n, a + c, b - c), (a + 1, b + 1, a + b + 1), z)
     lhs = first * second - third
     coeff = (
         z
@@ -136,7 +99,7 @@ def verify_product_transformation(a, b, c, n, z) -> bool:
     if not coeff:
         rhs = Fraction(0)
     else:
-        rhs = coeff * f43(
+        rhs = coeff * eval_pfq(
             (-n + 2, a + b + n + 2, a + c + 1, b - c + 1), (a + 2, b + 2, a + b + 1), z
         )
     return lhs == rhs
@@ -148,14 +111,14 @@ def verify_unit_argument_product(a, b, c, n) -> bool:
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
     n = int(n)
-    lhs = f43((-n, a + b + n, a + c, b - c), (a + 1, b + 1, a + b + 1))
+    lhs = eval_pfq((-n, a + b + n, a + c, b - c), (a + 1, b + 1, a + b + 1))
     factor = 1 - (a + c) * (b - c) / ((a + n) * (b + n))
     second = (
         Fraction(1)
         if n == 1
-        else f43((-n + 1, a + b + n + 1, a + c, b - c), (a + 1, b + 1, a + b + 1))
+        else eval_pfq((-n + 1, a + b + n + 1, a + c, b - c), (a + 1, b + 1, a + b + 1))
     )
-    closed_form_ok = factor == eval_pfq(PFQSpec.of((-1, a + c, b - c), (a + n, b + n), 1))
+    closed_form_ok = factor == eval_pfq((-1, a + c, b - c), (a + n, b + n))
     return closed_form_ok and lhs == factor * second
 
 

@@ -60,7 +60,7 @@ class _Parser:
     def expression(self) -> Polynomial:
         sign = 1
         ch = self.peek()
-        if ch in "+-":
+        if ch in ("+", "-"):
             self.pos += 1
             sign = -1 if ch == "-" else 1
         total = self.term()

@@ -26,7 +26,7 @@ from math import gcd
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, ExponentOutOfRange, VariableOutOfRange
-from .rationals import GaussianRational
+from .rationals import GaussianRational, fraction_text, gaussian_text
 
 #: Term dict: packed monomial key -> Gaussian-integer numerator (re, im).
 RawTerms = Dict[int, Tuple[int, int]]
@@ -214,7 +214,7 @@ class Polynomial:
         den = self._den
         for key in sorted(self._terms, key=_graded_lex):
             a, b = self._terms[key]
-            yield _monomial_text(exponents(key, m), m), _gaussian_text(a, b, den)
+            yield _monomial_text(exponents(key, m), m), gaussian_text(a, b, den)
 
     def coefficient(self, mono: Monomial) -> GaussianRational:
         if mono.m != self.m:
@@ -413,28 +413,12 @@ def _build_raw(m: int, terms: Dict[Monomial, object]) -> Tuple[RawTerms, int]:
     return _normalize(raw, den)
 
 
-def _fraction_text(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0."""
-    g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
-
-
-def _gaussian_text(a: int, b: int, den: int) -> str:
-    """str(GaussianRational) of (a + b i) / den for den > 0."""
-    if not b:
-        return _fraction_text(a, den)
-    imag = "i" if abs(b) == den else _fraction_text(abs(b), den) + "i"
-    if not a:
-        return imag if b > 0 else "-" + imag
-    return _fraction_text(a, den) + ("+" if b > 0 else "-") + imag
-
-
 def _grammar_text(a: int, b: int, den: int) -> str:
     """(a + b i) / den for den > 0 in the ``--poly`` grammar, which parses it
     back: "-3/2", "-1/2*i", "(1-2*i)"."""
     if not b:
-        return _fraction_text(a, den)
-    imag = "i" if abs(b) == den else _fraction_text(abs(b), den) + "*i"
+        return fraction_text(a, den)
+    imag = "i" if abs(b) == den else fraction_text(abs(b), den) + "*i"
     if not a:
         return imag if b > 0 else "-" + imag
-    return "(" + _fraction_text(a, den) + ("+" if b > 0 else "-") + imag + ")"
+    return "(" + fraction_text(a, den) + ("+" if b > 0 else "-") + imag + ")"

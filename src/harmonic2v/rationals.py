@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 Rationalish = Union[int, Fraction]
@@ -88,13 +89,24 @@ class GaussianRational:
         return GaussianRational.of(other) / self
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        imag = "i" if abs(self.im) == 1 else f"{abs(self.im)}i"
-        if not self.re:
-            return imag if self.im > 0 else "-" + imag
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{imag}"
+        dr, di = self.re.denominator, self.im.denominator
+        return gaussian_text(self.re.numerator * di, self.im.numerator * dr, dr * di)
+
+
+def fraction_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def gaussian_text(a: int, b: int, den: int) -> str:
+    """The text of (a + b i) / den for den > 0: "3/2", "-i", "1/2-2/3i"."""
+    if not b:
+        return fraction_text(a, den)
+    imag = "i" if abs(b) == den else fraction_text(abs(b), den) + "i"
+    if not a:
+        return imag if b > 0 else "-" + imag
+    return fraction_text(a, den) + ("+" if b > 0 else "-") + imag
 
 
 GAUSSIAN_I = GaussianRational(Fraction(0), Fraction(1))

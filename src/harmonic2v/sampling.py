@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .decomp import master_projection
 from .poly import Monomial, Polynomial
 from .rationals import GaussianRational
 from .transvector import extremal_projection_s
@@ -63,20 +62,6 @@ def random_double_harmonic(
             return p
 
 
-def random_simplicial(
-    m: int,
-    k: int,
-    l: int,
-    rng: random.Random,
-    terms: int = 4,
-) -> Polynomial:
-    """A random nonzero simplicial harmonic of weight (k, l), k >= l."""
-    while True:
-        h = master_projection(random_double_harmonic(m, k, l, rng, terms))
-        if not h.is_zero():
-            return h
-
-
 def random_polynomial(
     m: int,
     max_k: int,
@@ -95,7 +80,3 @@ def random_polynomial(
     if total.is_zero():
         total = Polynomial.constant(m, 1)
     return total
-
-
-def seeded(seed: int) -> random.Random:
-    return random.Random(seed)

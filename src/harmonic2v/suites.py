@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Dict, List
 
@@ -18,7 +19,7 @@ from .decomp import (
 from .hypergeom import verify_unit_argument_product, verify_g_vanishes, verify_product_transformation, verify_whipple
 from .operators import mul_inner_ux, mul_normsq_x
 from .poly import Polynomial
-from .sampling import random_bihomogeneous, random_double_harmonic, seeded
+from .sampling import random_bihomogeneous, random_double_harmonic
 from .stiefel import gamma_constant, stiefel_integrate
 from .transvector import (
     GeneratorTag,
@@ -29,6 +30,11 @@ from .transvector import (
 
 SUITE_NAMES = ("relations", "ladder", "appendix", "orthogonality", "pizzetti")
 
+#: Whipple draws the appendix suite checks, and the draws it may make to find
+#: them: about 1 in 40 draws has w > -n and no Gamma pole.
+WHIPPLE_DRAWS = 10
+WHIPPLE_ATTEMPTS = 2000
+
 
 def _check(checks: List[dict], name: str, passed: bool, detail=None):
     entry: Dict[str, object] = {"name": name, "passed": bool(passed)}
@@ -38,8 +44,7 @@ def _check(checks: List[dict], name: str, passed: bool, detail=None):
 
 
 def _suite_relations(m: int, max_bidegree: int, seed: int) -> List[dict]:
-    _require_theory_dimension(m)  # at m = 1 the sampler below would loop forever
-    rng = seeded(seed)
+    rng = random.Random(seed)
     checks: List[dict] = []
     samples = []
     for _ in range(20):
@@ -97,7 +102,7 @@ def _suite_ladder(m: int, max_bidegree: int, seed: int) -> List[dict]:
 
 
 def _suite_appendix(m: int, max_bidegree: int, seed: int) -> List[dict]:
-    rng = seeded(seed)
+    rng = random.Random(seed)
     checks: List[dict] = []
     top_k = max(max_bidegree, 1)
     for k in range(top_k + 1):
@@ -111,7 +116,8 @@ def _suite_appendix(m: int, max_bidegree: int, seed: int) -> List[dict]:
                         f"G({k},{l}) cell ({i},{j})",
                         verify_g_vanishes(k, l, i, j, m),
                     )
-    for t in range(10):
+    done = 0
+    for _ in range(WHIPPLE_ATTEMPTS):
         a, b = Fraction(rng.randint(1, 5), 2), Fraction(rng.randint(1, 5), 2)
         z, n = rng.randint(0, 3), rng.randint(0, 3)
         u = Fraction(rng.randint(3, 9), 2)
@@ -122,8 +128,13 @@ def _suite_appendix(m: int, max_bidegree: int, seed: int) -> List[dict]:
         try:
             ok = verify_whipple(a, b, z, n, u, v, w)
         except GammaPole:
-            ok = True  # pole shapes are skipped, not failures
-        _check(checks, f"whipple draw {t}", ok)
+            continue  # a pole shape is redrawn, never counted
+        _check(checks, f"whipple draw {done}", ok)
+        done += 1
+        if done == WHIPPLE_DRAWS:
+            break
+    else:
+        _check(checks, "whipple draws", False, {"checked": done, "attempts": WHIPPLE_ATTEMPTS})
     for t in range(10):
         a = Fraction(rng.randint(1, 6), rng.choice((1, 2)))
         b = Fraction(rng.randint(1, 6), rng.choice((1, 2)))
@@ -136,7 +147,7 @@ def _suite_appendix(m: int, max_bidegree: int, seed: int) -> List[dict]:
 
 
 def _suite_orthogonality(m: int, max_bidegree: int, seed: int) -> List[dict]:
-    rng = seeded(seed)
+    rng = random.Random(seed)
     checks: List[dict] = []
     for t in range(3):
         k = rng.randint(0, max_bidegree)
@@ -155,7 +166,7 @@ def _suite_orthogonality(m: int, max_bidegree: int, seed: int) -> List[dict]:
 
 
 def _suite_pizzetti(m: int, max_bidegree: int, seed: int) -> List[dict]:
-    rng = seeded(seed)
+    rng = random.Random(seed)
     checks: List[dict] = []
     one = Polynomial.constant(m, 1)
     _check(checks, "normalization I(1) = 1", stiefel_integrate(one).pizzetti_value == 1)
@@ -193,6 +204,8 @@ def run_suite(name: str, m: int, max_bidegree: int = 3, seed: int = 0) -> Dict[s
     """Run one named verification suite and return a JSON-ready report."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    # Below m = 5 the samplers may never end and the ladder sums divide by zero.
+    _require_theory_dimension(m)
     checks = _SUITES[name](m, max_bidegree, seed)
     return {
         "suite": name,

@@ -33,15 +33,6 @@ class GeneratorTag(Enum):
     C = "C"
 
 
-#: Bidegree shift of each generator on bihomogeneous double harmonics.
-GENERATOR_SHIFT = {
-    GeneratorTag.S_X: (1, -1),
-    GeneratorTag.S_U: (-1, 1),
-    GeneratorTag.A: (-1, -1),
-    GeneratorTag.C: (1, 1),
-}
-
-
 def _require_theory_dimension(m: int):
     if m <= 4:
         raise ValueError(f"transvector machinery requires m > 4, got m={m}")
@@ -163,11 +154,6 @@ _GEN_FUNC = {
     GeneratorTag.A: cross_dd,
     GeneratorTag.C: _gen_c,
 }
-
-
-def apply_generator(tag: GeneratorTag, p: Polynomial) -> Polynomial:
-    """Apply one of S_x, S_u, A, C to a double-harmonic polynomial."""
-    return generator_chain(p, (tag,))
 
 
 def chain(p: Polynomial, steps: Sequence) -> Polynomial:

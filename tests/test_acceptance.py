@@ -2,6 +2,7 @@
 PASS/FAIL line (run with ``pytest -s`` to see them live)."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from harmonic2v import (
 from harmonic2v.errors import GammaPole
 from harmonic2v.fischer import double_fischer
 from harmonic2v.operators import mul_inner_ux, mul_normsq_x
-from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic, seeded
+from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic
 
 from reference import peel_full
 
@@ -65,7 +66,7 @@ def test_criterion_01_worked_example_normalizers():
     ok = ok and Fraction(4, 35) == Fraction(m + 2, (m + 1) * (m + 4))
     ok = ok and Fraction(5, 84) == Fraction(m * (m + 4), 3 * (m - 2) * (m + 1) * (m + 6))
 
-    rng = seeded(32)
+    rng = random.Random(32)
     p = random_bihomogeneous(m, 3, 2, rng, terms=5)
     layer = {(c.i, c.j): c.part for c in double_fischer(p)}[(0, 0)]
     top = project_component(layer, 0, 2)
@@ -87,7 +88,7 @@ def test_criterion_02_round_trip_reconstruction():
     ok = True
     count = 0
     for m in (5, 6, 7):
-        rng = seeded(1000 + m)
+        rng = random.Random(1000 + m)
         for k in range(5):
             for l in range(5):
                 for _ in range(50):
@@ -102,7 +103,7 @@ def test_criterion_02_round_trip_reconstruction():
 def test_criterion_03_quadratic_relations():
     ok = True
     for m in (5, 6, 7):
-        rng = seeded(2000 + m)
+        rng = random.Random(2000 + m)
         samples = [
             random_double_harmonic(m, rng.randint(0, 3), rng.randint(0, 3), rng)
             for _ in range(20)
@@ -181,7 +182,7 @@ def test_criterion_05_master_projection():
 
 def test_criterion_06_orthogonality():
     ok = True
-    rng = seeded(6000)
+    rng = random.Random(6000)
     for k in range(4):
         for l in range(4):
             p = random_bihomogeneous(5, k, l, rng, terms=4)
@@ -192,7 +193,7 @@ def test_criterion_06_orthogonality():
 
 def test_criterion_07_projection_self_adjoint():
     ok = True
-    rng = seeded(7000)
+    rng = random.Random(7000)
     for k in range(4):
         for l in range(4):
             for _ in range(20):
@@ -213,7 +214,7 @@ def test_criterion_08_appendix_certification():
                     for j in range(l - i + 1):
                         if 1 <= i + j <= 3:
                             ok = ok and verify_g_vanishes(k, l, i, j, m)
-    rng = seeded(8000)
+    rng = random.Random(8000)
     whipple_done = 0
     while whipple_done < 10:
         a = Fraction(rng.randint(1, 6), 2)
@@ -310,7 +311,7 @@ def test_criterion_10_pizzetti_vs_monte_carlo():
     # exact invariance identities and normalization
     one = Polynomial.constant(m, 1)
     ok = ok and stiefel_integrate(one).pizzetti_value == 1
-    rng = seeded(10_000)
+    rng = random.Random(10_000)
     for _ in range(20):
         p = random_bihomogeneous(m, rng.randint(0, 3), rng.randint(0, 3), rng)
         base = stiefel_integrate(p).pizzetti_value

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -19,13 +20,15 @@ from harmonic2v import (
     VariableOutOfRange,
     decompose_full,
     parse_poly,
+    run_suite,
 )
-from harmonic2v import cli
+from harmonic2v import cli, suites
 from harmonic2v.cli import main
 from harmonic2v.errors import ZeroNormalizer
 from harmonic2v.parser import MAX_DEGREE, MAX_TERMS
 from harmonic2v.poly import Monomial
-from harmonic2v.sampling import random_polynomial, seeded
+from harmonic2v.sampling import random_polynomial
+from harmonic2v.suites import WHIPPLE_DRAWS
 
 from conftest import poly
 from reference import decomposition_json
@@ -56,9 +59,11 @@ def test_parse_parentheses_and_powers():
 
 
 def test_parse_error_carries_position():
-    with pytest.raises(PolySyntaxError) as err:
-        parse_poly("x1 + ", 5)
-    assert err.value.position == 5
+    # the end of the input is not read as a sign, so an error there points at it
+    for text, position in (("x1 + ", 5), ("", 0), ("   ", 3)):
+        with pytest.raises(PolySyntaxError) as err:
+            parse_poly(text, 5)
+        assert err.value.position == position
 
 
 def test_parse_rejects_trailing_garbage():
@@ -111,7 +116,7 @@ def test_parse_rejects_term_count_above_the_maximum(text, position):
 
 
 def test_parse_print_parse_fixed_point(rng):
-    sampler = seeded(99)
+    sampler = random.Random(99)
     for _ in range(10):
         p = random_polynomial(5, 3, 3, sampler)
         text = str(p)
@@ -300,6 +305,34 @@ def test_cli_verify_relations_rejects_small_dimension(capsys):
     # at m = 1 no nonzero double harmonic has x- or u-degree >= 2, so sampling would never end
     assert main(["verify", "--suite", "relations", "--m", "1"]) == 2
     assert "m > 4" in capsys.readouterr().err
+
+
+def test_cli_verify_every_suite_rejects_small_dimension(capsys):
+    # every suite rests on the m > 4 theory: a small m is an error, never failed checks
+    for suite in cli.SUITE_NAMES:
+        for m in range(1, 5):
+            assert main(["verify", "--suite", suite, "--m", str(m)]) == 2, (suite, m)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "requires m > 4" in captured.err and "Fraction(" not in captured.err
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_appendix_checks_ten_whipple_draws(seed):
+    # seed 0's first ten draws all have w <= -n; seed 6 draws Gamma-pole shapes
+    checks = run_suite("appendix", 5, seed=seed)["checks"]
+    whipple = [c for c in checks if c["name"].startswith("whipple")]
+    assert [c["name"] for c in whipple] == [f"whipple draw {t}" for t in range(WHIPPLE_DRAWS)]
+    assert all(c["passed"] for c in whipple)
+
+
+def test_appendix_fails_when_whipple_draws_run_out(monkeypatch):
+    monkeypatch.setattr(suites, "WHIPPLE_ATTEMPTS", 1)
+    report = run_suite("appendix", 5, seed=0)
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["whipple draws"]
+    assert failed[0]["counterexample"] == {"checked": 0, "attempts": 1}
+    assert report["passed"] is False
 
 
 def test_cli_verify_ladder_vacuous(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -28,8 +29,8 @@ from harmonic2v.decomp import _master_projection_dominant, _orient, is_simplicia
 from harmonic2v.operators import cross_dd, laplacian_u, laplacian_x, skew_xu
 from harmonic2v.poly import Monomial
 from harmonic2v.rationals import GAUSSIAN_I
-from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic, seeded
-from harmonic2v.transvector import apply_generator, generator_chain
+from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic
+from harmonic2v.transvector import generator_chain
 
 from conftest import one, poly
 from reference import peel_double_harmonic
@@ -318,11 +319,12 @@ def test_project_component_index_errors(rng):
         project_component(p, 0, 2)
 
 
+#: "apply_generator" is one generator step, "generator_chain" two.
 _ENTRY_POINTS = {
     "master_projection": master_projection,
     "project_component": lambda p: project_component(p, 0, 0),
     "decompose_double_harmonic": decompose_double_harmonic,
-    "apply_generator": lambda p: apply_generator(GeneratorTag.S_X, p),
+    "apply_generator": lambda p: generator_chain(p, (GeneratorTag.S_X,)),
     "generator_chain": lambda p: generator_chain(p, (GeneratorTag.S_U, GeneratorTag.S_X)),
 }
 _DECOMP_ENTRIES = ("master_projection", "project_component", "decompose_double_harmonic")
@@ -382,7 +384,7 @@ def test_each_cell_is_validated_once(rng, monkeypatch):
         master_projection(p)
         assert len(checked) == 1
         checked.clear()
-        apply_generator(GeneratorTag.C, p)
+        generator_chain(p, (GeneratorTag.C,))
         assert len(checked) == 1
 
 
@@ -448,7 +450,7 @@ def test_strategies_agree(rng):
 )
 def test_u_dominant_input_is_the_mirror_of_its_swap(m, kl, seed):
     k, l = kl
-    p = random_double_harmonic(m, k, l, seeded(seed), terms=3)
+    p = random_double_harmonic(m, k, l, random.Random(seed), terms=3)
     q = p.swap_vectors()
     assert _orient(p) == (q, True)
     assert _orient(q) == (q, False)
@@ -520,7 +522,7 @@ def _signed_permutation(p, perm, signs):
 )
 def test_decompose_full_properties(bidegrees, perm, signs, seed):
     m = 5
-    rng = seeded(seed)
+    rng = random.Random(seed)
     p = Polynomial.zero(m)
     for k, l in bidegrees:
         p = p + random_bihomogeneous(m, k, l, rng, terms=3)
@@ -535,18 +537,24 @@ def test_decompose_full_properties(bidegrees, perm, signs, seed):
     ]
 
 
+def _random_simplicial(m, k, l, rng):
+    """A random nonzero simplicial harmonic of weight (k, l), k >= l."""
+    while True:
+        h = master_projection(random_double_harmonic(m, k, l, rng))
+        if not h.is_zero():
+            return h
+
+
 def test_component_count_matches_tensor_multiplicities(rng):
     # fill every branching cell of bidegree (a, b) with a random harmonic; the
     # pipeline must find exactly (b+1)(b+2)/2 components and recover each one
-    from harmonic2v.sampling import random_simplicial
-
     m = 5
     for (a, b) in [(2, 1), (2, 2), (3, 2)]:
         planted = {}
         total = Polynomial.zero(m)
         for i in range(b + 1):
             for j in range(b - i + 1):
-                h = random_simplicial(m, a - i + j, b - i - j, rng)
+                h = _random_simplicial(m, a - i + j, b - i - j, rng)
                 planted[(i, j)] = h
                 total = total + generator_chain(
                     h, (GeneratorTag.C,) * i + (GeneratorTag.S_U,) * j

@@ -1,58 +1,21 @@
 from fractions import Fraction
 
-import pytest
-
 from harmonic2v import (
     GaussianRational,
     GeneratorTag,
     Polynomial,
-    apply_generator,
     double_fischer,
+    extremal_projection_s,
     fischer_inner_product,
-    sphere_fischer_project,
-    verify_adjoints,
+    generator_chain,
 )
+from harmonic2v.fischer import mul_norm_powers
 from harmonic2v.operators import laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x
 from harmonic2v.rationals import GAUSSIAN_I
 from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic
 
-from conftest import normsq_u, normsq_x, one, poly
+from conftest import normsq_x, one, poly
 from reference import fischer_inner_product_by_differentiation
-
-
-def test_sphere_fischer_layer_zero_is_plain_projection():
-    m = 5
-    h = poly("x1*x2", m)
-    assert sphere_fischer_project(h, 0, "x") == h
-
-
-def test_sphere_fischer_layer_one_of_normsq():
-    m = 5
-    got = sphere_fischer_project(normsq_x(m), 1, "x")
-    assert got == normsq_x(m)
-    assert sphere_fischer_project(normsq_x(m), 0, "x").is_zero()
-
-
-def test_sphere_fischer_layer_one_of_harmonic_vanishes():
-    m = 5
-    assert sphere_fischer_project(poly("x1*x2", m), 1, "x").is_zero()
-
-
-def test_sphere_fischer_layers_sum_to_input(rng):
-    for m in (5, 6):
-        for _ in range(4):
-            p = random_bihomogeneous(m, 4, rng.randint(0, 2), rng)
-            total = Polynomial.zero(m)
-            for s in range(3):
-                layer = sphere_fischer_project(p, s, "x")
-                assert sphere_fischer_project(p.swap_vectors(), s, "u") == layer.swap_vectors()
-                total = total + layer
-            assert total == p
-
-
-def test_sphere_fischer_rejects_an_unknown_axis():
-    with pytest.raises(ValueError, match="axis"):
-        sphere_fischer_project(poly("x1^2*u1", 5), 1, "y")
 
 
 def test_double_fischer_of_x1_squared():
@@ -87,14 +50,14 @@ def test_double_fischer_reconstructs_and_layers_are_harmonic(rng):
         for comp in double_fischer(p):
             assert laplacian_x(comp.part).is_zero()
             assert laplacian_u(comp.part).is_zero()
-            total = total + comp.embedded()
+            total = total + mul_norm_powers(comp.part, comp.i, comp.j)
         assert total == p
 
 
 def test_double_fischer_layers_are_orthogonal(rng):
     m = 5
     p = random_bihomogeneous(m, 4, 2, rng)
-    embedded = [c.embedded() for c in double_fischer(p)]
+    embedded = [mul_norm_powers(c.part, c.i, c.j) for c in double_fischer(p)]
     for i in range(len(embedded)):
         for j in range(i + 1, len(embedded)):
             assert fischer_inner_product(embedded[i], embedded[j]).is_zero()
@@ -144,28 +107,29 @@ def test_normsq_and_laplacian_are_adjoint(rng):
 
 def test_creation_annihilation_adjoint_value():
     m = 6
-    c1 = apply_generator(GeneratorTag.C, one(m))
+    c1 = generator_chain(one(m), (GeneratorTag.C,))
     lhs = fischer_inner_product(c1, c1)
-    rhs = fischer_inner_product(one(m), apply_generator(GeneratorTag.A, c1))
+    rhs = fischer_inner_product(one(m), generator_chain(c1, (GeneratorTag.A,)))
     assert lhs == rhs == 6
 
 
 def test_skew_adjoint_value():
     m = 5
-    su = apply_generator(GeneratorTag.S_U, poly("x1", m))
-    sx = apply_generator(GeneratorTag.S_X, poly("u1", m))
+    su = generator_chain(poly("x1", m), (GeneratorTag.S_U,))
+    sx = generator_chain(poly("u1", m), (GeneratorTag.S_X,))
     assert fischer_inner_product(su, poly("u1", m)) == 1
     assert fischer_inner_product(poly("x1", m), sx) == 1
 
 
 def test_verify_adjoints_report(rng):
+    # <Cp,q> = <p,Aq> and <S_u p,q> = <p,S_x q> on double harmonics, and pi_s
+    # self-adjoint on arbitrary polynomials
     m = 5
-    pairs = [
-        (
-            random_bihomogeneous(m, rng.randint(1, 3), rng.randint(1, 3), rng),
-            random_bihomogeneous(m, rng.randint(1, 3), rng.randint(1, 3), rng),
-        )
-        for _ in range(10)
-    ]
-    report = verify_adjoints(pairs)
-    assert all(all(v) for v in report.values())
+    for _ in range(10):
+        p = random_bihomogeneous(m, rng.randint(1, 3), rng.randint(1, 3), rng)
+        q = random_bihomogeneous(m, rng.randint(1, 3), rng.randint(1, 3), rng)
+        hp, hq = extremal_projection_s(p), extremal_projection_s(q)
+        assert fischer_inner_product(hp, q) == fischer_inner_product(p, hq)
+        for left, right in ((GeneratorTag.C, GeneratorTag.A), (GeneratorTag.S_U, GeneratorTag.S_X)):
+            lhs = fischer_inner_product(generator_chain(hp, (left,)), hq)
+            assert lhs == fischer_inner_product(hp, generator_chain(hq, (right,)))

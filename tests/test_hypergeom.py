@@ -8,10 +8,8 @@ from harmonic2v import (
     IndexOutOfRange,
     LowerParameterPole,
     NonTerminating,
-    PFQSpec,
     eval_pfq,
     g_sum,
-    verify_contiguous,
     verify_unit_argument_product,
     verify_g_vanishes,
     verify_product_transformation,
@@ -19,54 +17,67 @@ from harmonic2v import (
 )
 
 
-def F(upper, lower, z=1):
-    return eval_pfq(PFQSpec.of(upper, lower, z))
+def contiguous_holds(a, b, c, d, e, f, g) -> bool:
+    """Three-term relation shifting one lower parameter of a terminating 4F3(1).
+
+    A vanishing upper-parameter product zeroes the shifted series' coefficient,
+    so that (possibly non-terminating) series is never evaluated.
+    """
+    a, b, c, d, e, f, g = map(Fraction, (a, b, c, d, e, f, g))
+    lhs = eval_pfq((a, b, c, d), (e - 1, f, g))
+    rhs = eval_pfq((a, b, c, d), (e, f, g))
+    coeff = (a * b * c * d) / ((e - 1) * e * f * g)
+    if coeff:
+        rhs += coeff * eval_pfq((a + 1, b + 1, c + 1, d + 1), (e + 1, f + 1, g + 1))
+    return lhs == rhs
 
 
 def test_two_term_series():
     for b, c in [(Fraction(3, 2), Fraction(7, 3)), (Fraction(-5, 2), Fraction(1, 3))]:
-        assert F((-1, b), (c,)) == 1 - b / c
+        assert eval_pfq((-1, b), (c,)) == 1 - b / c
 
 
 def test_zero_upper_parameter_gives_one():
-    assert F((0, Fraction(9, 2), -3), (Fraction(1, 7), 2)) == 1
+    assert eval_pfq((0, Fraction(9, 2), -3), (Fraction(1, 7), 2)) == 1
 
 
 def test_three_f_two_closed_form():
     a, b, c, n = Fraction(1, 2), Fraction(5, 3), Fraction(1, 4), 2
-    got = F((-1, a + c, b - c), (a + n, b + n))
+    got = eval_pfq((-1, a + c, b - c), (a + n, b + n))
     assert got == 1 - (a + c) * (b - c) / ((a + n) * (b + n))
 
 
 def test_parameter_permutation_invariance():
     upper = (Fraction(-3), Fraction(1, 2), Fraction(7, 5))
     lower = (Fraction(4, 3), Fraction(9, 2))
-    base = F(upper, lower, Fraction(2, 3))
-    assert F(upper[::-1], lower, Fraction(2, 3)) == base
-    assert F(upper, lower[::-1], Fraction(2, 3)) == base
+    base = eval_pfq(upper, lower, Fraction(2, 3))
+    assert eval_pfq(upper[::-1], lower, Fraction(2, 3)) == base
+    assert eval_pfq(upper, lower[::-1], Fraction(2, 3)) == base
 
 
 def test_termination_uses_smallest_upper():
     # -1 terminates first: 1 + (-1)(-4)/(1/2) = 9
-    assert F((-1, -4), (Fraction(1, 2),), 1) == 9
+    assert eval_pfq((-1, -4), (Fraction(1, 2),), 1) == 9
 
 
 def test_non_terminating_raises():
     with pytest.raises(NonTerminating):
-        F((Fraction(1, 2), 3), (2,))
+        eval_pfq((Fraction(1, 2), 3), (2,))
 
 
 def test_lower_pole_raises():
     with pytest.raises(LowerParameterPole):
-        F((-3, 1), (-1,))
+        eval_pfq((-3, 1), (-1,))
     # a deep enough non-positive lower parameter never divides by zero:
     # sum_{j<=2} of (-2)^(j) (1)^(j) / ((-5)^(j) j!) = 1 + 2/5 + 1/10
-    assert F((-2, 1), (-5,)) == Fraction(3, 2)
+    assert eval_pfq((-2, 1), (-5,)) == Fraction(3, 2)
 
 
 def test_balance():
-    spec = PFQSpec.of((1, 2, -3), (4, Fraction(3, 2)))
-    assert spec.balance() == Fraction(11, 2)
+    # Whipple's precondition sums lower minus upper parameters:
+    # (4 + 3/2 + 0) - (1 + 2 - 3 - 0) = 11/2
+    with pytest.raises(ValueError, match="11/2-balanced"):
+        verify_whipple(1, 2, 3, 0, 4, Fraction(3, 2), 0)
 
 
 @pytest.mark.parametrize("d", [-3, -1])
@@ -79,11 +90,11 @@ def test_contiguous_relation(d):
         e = Fraction(rng.randint(2, 9), rng.randint(1, 2))
         f = Fraction(rng.randint(1, 9), rng.randint(1, 2))
         g = Fraction(rng.randint(1, 9), rng.randint(1, 2))
-        assert verify_contiguous(a, b, c, d, e, f, g)
+        assert contiguous_holds(a, b, c, d, e, f, g)
 
 
 def test_contiguous_with_zero_upper():
-    assert verify_contiguous(0, 1, 2, 3, Fraction(5, 2), 1, 1)
+    assert contiguous_holds(0, 1, 2, 3, Fraction(5, 2), 1, 1)
 
 
 def test_whipple_trivial_n0():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from harmonic2v import (
     GeneratorTag,
     NotDoubleHarmonic,
     Polynomial,
-    apply_generator,
     extremal_projection_s,
     extremal_projection_u,
     extremal_projection_x,
@@ -16,7 +16,7 @@ from harmonic2v import (
 )
 from harmonic2v import transvector
 from harmonic2v.operators import laplacian_u, laplacian_x, mul_inner_ux, mul_normsq_u, mul_normsq_x
-from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic, random_polynomial, seeded
+from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic, random_polynomial
 from harmonic2v.transvector import chain, generator_chain, is_double_harmonic, nested_sum
 
 from conftest import inner_ux, normsq_x, one, poly
@@ -123,7 +123,7 @@ def test_projection_s_on_x1sq_u1sq():
 )
 def test_extremal_projections_match_term_by_term(m, parts, seed):
     # parts: (k, l, harmonic); a harmonic part is the reference's own projection
-    rng = seeded(seed)
+    rng = random.Random(seed)
     p = Polynomial.zero(m)
     for k, l, harmonic in parts:
         part = random_bihomogeneous(m, k, l, rng, terms=3)
@@ -166,7 +166,7 @@ def test_pi_axis_multiplies_by_the_norm_once_per_term(axis, monkeypatch):
     st.integers(0, 2**32 - 1),
 )
 def test_nested_sum_matches_the_direct_sum(step, kinds, seed):
-    rng = seeded(seed)
+    rng = random.Random(seed)
     m = 5
     coeffs = [
         None if kind == "none" else Polynomial.zero(m) if kind == "zero" else random_polynomial(m, 2, 2, rng)
@@ -185,11 +185,11 @@ def test_nested_sum_matches_the_direct_sum(step, kinds, seed):
 
 def test_generator_examples():
     m = 5
-    assert apply_generator(GeneratorTag.S_X, poly("u1", m)) == poly("x1", m)
-    assert apply_generator(GeneratorTag.S_U, poly("x1", m)) == poly("u1", m)
-    assert apply_generator(GeneratorTag.C, one(m)) == inner_ux(m)
-    c1 = apply_generator(GeneratorTag.C, one(6))
-    assert apply_generator(GeneratorTag.A, c1) == Polynomial.constant(6, 6)
+    assert generator_chain(poly("u1", m), (GeneratorTag.S_X,)) == poly("x1", m)
+    assert generator_chain(poly("x1", m), (GeneratorTag.S_U,)) == poly("u1", m)
+    assert generator_chain(one(m), (GeneratorTag.C,)) == inner_ux(m)
+    c1 = generator_chain(one(6), (GeneratorTag.C,))
+    assert generator_chain(c1, (GeneratorTag.A,)) == Polynomial.constant(6, 6)
 
 
 def test_chain_mixes_atoms_and_generators_rightmost_first():
@@ -205,30 +205,37 @@ def test_chain_mixes_atoms_and_generators_rightmost_first():
 
 def test_generator_rejects_non_double_harmonic():
     with pytest.raises(NotDoubleHarmonic):
-        apply_generator(GeneratorTag.S_X, poly("x1^2", 5))
+        generator_chain(poly("x1^2", 5), (GeneratorTag.S_X,))
 
 
 def test_generator_rejects_small_dimension():
     with pytest.raises(ValueError):
-        apply_generator(GeneratorTag.C, one(4))
+        generator_chain(one(4), (GeneratorTag.C,))
+
+
+#: Bidegree shift of each generator on bihomogeneous double harmonics.
+GENERATOR_SHIFT = {
+    GeneratorTag.S_X: (1, -1),
+    GeneratorTag.S_U: (-1, 1),
+    GeneratorTag.A: (-1, -1),
+    GeneratorTag.C: (1, 1),
+}
 
 
 def test_generators_preserve_double_harmonicity_and_shift(rng):
-    from harmonic2v import GENERATOR_SHIFT
-
     for m in (5, 6):
         for _ in range(4):
             k, l = rng.randint(1, 3), rng.randint(1, 3)
             h = random_double_harmonic(m, k, l, rng)
             other = random_double_harmonic(m, k + 1, l, rng)
             for tag in GeneratorTag:
-                image = apply_generator(tag, h)
+                image = generator_chain(h, (tag,))
                 assert is_double_harmonic(image)
                 if not image.is_zero():
                     dk, dl = GENERATOR_SHIFT[tag]
                     assert image.bidegree() == (k + dk, l + dl)
                 # a mixed-bidegree input is mapped part by part
-                assert apply_generator(tag, h + other) == image + apply_generator(tag, other)
+                assert generator_chain(h + other, (tag,)) == image + generator_chain(other, (tag,))
 
 
 def test_quadratic_relations_hold(rng):
