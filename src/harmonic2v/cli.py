@@ -35,9 +35,9 @@ MAX_MC_SAMPLES = 10**8
 MAX_VERIFY_BIDEGREE = 4
 
 #: Largest ``verify --suite ladder --m`` accepted.  The suite builds its
-#: generator chains term by term at every m, so its cost grows steeply: about
-#: 1.3 s at m = 5, 4.0 s at 8, 10.5 s at 12 and 23 s at 16 on a 2-CPU x86_64
-#: host (the other suites take at most about 3 s at m = 64).
+#: generator chains term by term at every m, so its cost grows with m: in
+#: process, about 0.25 s at m = 5, 0.7 s at 8, 1.9 s at 12 and 3.9 s at 16 on
+#: a 2-CPU x86_64 host (the other suites take at most about 3 s at m = 64).
 MAX_LADDER_M = 12
 
 #: Largest ``--m`` accepted.  A key holds 2m bytes and every operator atom makes

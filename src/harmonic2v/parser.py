@@ -11,6 +11,8 @@ parsing it back reproduces the polynomial exactly.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -26,6 +28,10 @@ MAX_DEGREE = 64
 #: Largest number of terms a product or power may reach, bounded a priori by
 #: min(|a|*|b|, number of monomials of degree <= deg(a) + deg(b) in 2m variables).
 MAX_TERMS = 200_000
+
+#: ASCII digits only: ``int`` would also read other Unicode digits, or raise on
+#: superscripts that ``str.isdigit`` accepts.
+_DIGITS = re.compile(r"[0-9]*")
 
 
 class _Parser:
@@ -144,11 +150,17 @@ class _Parser:
     def natural(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
+        self.pos = _DIGITS.match(self.text, start).end()
         if start == self.pos:
             self.error("expected a non-negative integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than sys.get_int_max_str_digits() converts
+            raise PolySyntaxError(
+                f"integer of {self.pos - start} digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits",
+                start,
+            ) from None
 
     def rational(self) -> Fraction:
         num = self.natural()

@@ -1,4 +1,4 @@
-"""Deterministic random polynomial generators for test suites."""
+"""Deterministic random polynomial generators for the verification suites."""
 
 from __future__ import annotations
 
@@ -60,23 +60,3 @@ def random_double_harmonic(
         p = extremal_projection_s(random_bihomogeneous(m, k, l, rng, terms, complex_coeff))
         if not p.is_zero():
             return p
-
-
-def random_polynomial(
-    m: int,
-    max_k: int,
-    max_l: int,
-    rng: random.Random,
-    parts: int = 2,
-    terms: int = 3,
-    complex_coeff: bool = True,
-) -> Polynomial:
-    """A random mixed-bidegree polynomial with the given number of parts."""
-    total = Polynomial.zero(m)
-    for _ in range(parts):
-        k = rng.randint(0, max_k)
-        l = rng.randint(0, max_l)
-        total = total + random_bihomogeneous(m, k, l, rng, terms, complex_coeff)
-    if total.is_zero():
-        total = Polynomial.constant(m, 1)
-    return total

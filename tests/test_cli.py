@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from fnmatch import fnmatchcase
 from pathlib import Path
 from fractions import Fraction
 
@@ -27,10 +28,9 @@ from harmonic2v.cli import main
 from harmonic2v.errors import ZeroNormalizer
 from harmonic2v.parser import MAX_DEGREE, MAX_TERMS
 from harmonic2v.poly import Monomial
-from harmonic2v.sampling import random_polynomial
 from harmonic2v.suites import WHIPPLE_DRAWS
 
-from conftest import poly
+from conftest import poly, random_polynomial
 from reference import decomposition_json
 
 
@@ -92,6 +92,29 @@ def test_parse_rejects_degree_above_the_maximum(text, position):
         parse_poly(text, 5)
     assert err.value.position == position
     assert str(MAX_DEGREE) in str(err.value)
+
+
+#: More digits than ``int`` converts at the interpreter's default limit (4,300).
+LONG_INTEGER = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [(LONG_INTEGER, 0), (f"x1^{LONG_INTEGER}", 3), (f"x1 + 2/{LONG_INTEGER}", 7)],
+)
+def test_parse_rejects_an_integer_too_long_to_convert(text, position):
+    with pytest.raises(PolySyntaxError) as err:
+        parse_poly(text, 5)
+    assert err.value.position == position
+    assert "integer of 5000 digits" in str(err.value)
+
+
+@pytest.mark.parametrize("text, position", [("x1^\u00b2", 3), ("\u00b2", 0), ("x1*3\u0663", 4)])
+def test_parse_reads_ascii_digits_only(text, position):
+    # int() would read the Arabic-Indic three and reject the superscript two
+    with pytest.raises(PolySyntaxError) as err:
+        parse_poly(text, 5)
+    assert err.value.position == position
 
 
 def test_parse_accepts_a_power_below_the_term_limit():
@@ -319,7 +342,8 @@ def test_cli_verify_every_suite_rejects_small_dimension(capsys):
 
 @pytest.mark.parametrize("seed", [0, 6])
 def test_appendix_checks_ten_whipple_draws(seed):
-    # seed 0's first ten draws all have w <= -n; seed 6 draws Gamma-pole shapes
+    # seed 0's first ten draws all have w <= -n and are all checked; seed 6
+    # redraws a lower-parameter pole (its first draw) and a Gamma pole (its fifth)
     checks = run_suite("appendix", 5, seed=seed)["checks"]
     whipple = [c for c in checks if c["name"].startswith("whipple")]
     assert [c["name"] for c in whipple] == [f"whipple draw {t}" for t in range(WHIPPLE_DRAWS)]
@@ -327,11 +351,12 @@ def test_appendix_checks_ten_whipple_draws(seed):
 
 
 def test_appendix_fails_when_whipple_draws_run_out(monkeypatch):
-    monkeypatch.setattr(suites, "WHIPPLE_ATTEMPTS", 1)
-    report = run_suite("appendix", 5, seed=0)
+    # seed 6's first five draws are a pole, three checkable draws and a pole
+    monkeypatch.setattr(suites, "WHIPPLE_ATTEMPTS", 5)
+    report = run_suite("appendix", 5, seed=6)
     failed = [c for c in report["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["whipple draws"]
-    assert failed[0]["counterexample"] == {"checked": 0, "attempts": 1}
+    assert failed[0]["counterexample"] == {"checked": 3, "attempts": 5}
     assert report["passed"] is False
 
 
@@ -339,6 +364,27 @@ def test_cli_verify_ladder_vacuous(capsys):
     code = main(["verify", "--suite", "ladder", "--m", "5", "--max-bidegree", "0"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "constant, wrong_at, pattern, count",
+    [
+        ("ladder_alpha", lambda i, j, p, q, k, l, m: (p, q) == (1, 1), "alpha(?,?)^(1,1) at *", 18),
+        ("ladder_phi", lambda i, j, k, l, m: (i, j) == (1, 1), "phi(1,1) at *", 6),
+        ("ladder_psi", lambda i, j, k, l, m: (i, j) == (2, 0), "psi(2,0) at *", 9),
+        ("ladder_c", lambda i, k, l, m: i == 1, "c_1 at *", 9),
+    ],
+)
+def test_ladder_suite_catches_a_wrong_constant(monkeypatch, constant, wrong_at, pattern, count):
+    # criterion 4 relies on the suite: a constant off by one at one index fails exactly its checks
+    exact = getattr(suites, constant)
+    monkeypatch.setattr(suites, constant, lambda *args: exact(*args) + int(wrong_at(*args)))
+    report = run_suite("ladder", 5)
+    names = [c["name"] for c in report["checks"]]
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert report["passed"] is False and len(names) == 306
+    assert failed == [name for name in names if fnmatchcase(name, pattern)]
+    assert len(failed) == count
 
 
 def test_cli_verify_ladder_bounds_m(capsys):
@@ -370,6 +416,14 @@ def test_cli_degree_limit_exit_code(capsys):
     stderr = capsys.readouterr().err
     assert stderr.startswith("error:") and "maximum degree" in stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("text", [LONG_INTEGER, f"x1^{LONG_INTEGER}"])
+def test_cli_long_integer_is_a_parse_error(text, capsys):
+    assert main(["decompose", "--m", "5", "--poly", text]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: integer of 5000 digits exceeds the limit")
+    assert "set_int_max_str_digits" not in stderr
 
 
 def test_cli_arithmetic_error_exit_code(monkeypatch, capsys):
@@ -491,6 +545,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
                 "--poly", "x1^4*x2^2*u1^2*u3^4 - 3/2*x1^2*x2^2*u1^2*u2^2 + 5/7*x3^6*u3^6",
             ],
         ),
+        ("verify_ladder_m5", ["verify", "--suite", "ladder", "--m", "5"]),
     ],
 )
 def test_cli_stdout_matches_golden(name, argv, capsys):

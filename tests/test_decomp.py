@@ -117,46 +117,6 @@ def test_ladder_alpha_range_errors():
         ladder_phi(0, 1, 1, 2, 5)
 
 
-def test_ladder_oracle_small_grid():
-    # brute-force generator chains against every closed form on a small grid
-    m = 5
-    for (k, l) in [(2, 1), (2, 2), (3, 2)]:
-        hw = highest_weight_vector(k, l, m)
-        for i in range(3):
-            for j in range(min(2, k - l) + 1):
-                cell = _cell(hw, i, j)
-                assert not cell.is_zero()
-                got = generator_chain(cell, (GeneratorTag.S_X,))
-                expect = (
-                    _cell(hw, i, j - 1).scaled(ladder_phi(i, j, k, l, m))
-                    if j
-                    else Polynomial.zero(m)
-                )
-                assert got == expect
-                got = generator_chain(cell, (GeneratorTag.A,))
-                expect = (
-                    _cell(hw, i - 1, j).scaled(ladder_psi(i, j, k, l, m))
-                    if i
-                    else Polynomial.zero(m)
-                )
-                assert got == expect
-                for p in range(i + 1):
-                    for q in range(j + 1):
-                        got = generator_chain(
-                            cell, (GeneratorTag.A,) * p + (GeneratorTag.S_X,) * q
-                        )
-                        assert got == _cell(hw, i - p, j - q).scaled(
-                            ladder_alpha(i, j, p, q, k, l, m)
-                        )
-
-
-def test_ac_iteration_matches_constants():
-    m = 6
-    hw = highest_weight_vector(2, 1, m)
-    c_hw = _cell(hw, 1, 0)
-    assert generator_chain(c_hw, (GeneratorTag.A,)) == hw.scaled(ladder_c(1, 2, 1, m))
-
-
 # -- master projection ----------------------------------------------------------
 
 

@@ -16,10 +16,10 @@ from harmonic2v.operators import (
     skew_ux,
     skew_xu,
 )
-from harmonic2v.sampling import random_bihomogeneous, random_polynomial
+from harmonic2v.sampling import random_bihomogeneous
 from harmonic2v.transvector import GeneratorTag, chain, extremal_projection_s, generator_chain
 
-from conftest import inner_ux, poly
+from conftest import inner_ux, poly, random_polynomial
 
 #: Bidegree shift (dk, dl) of each atom on bihomogeneous input.
 ATOM_SHIFT = {

@@ -21,11 +21,11 @@ from harmonic2v import (
 )
 from harmonic2v.fischer import _pi_ij
 from harmonic2v.operators import cross_dd, mul_inner_ux, mul_normsq_u, mul_normsq_x
-from harmonic2v.sampling import random_bihomogeneous, random_coefficient, random_polynomial
+from harmonic2v.sampling import random_bihomogeneous, random_coefficient
 from harmonic2v.stiefel import _MC_CHUNK, _chunk_plan, _diagonal_terms, _haar_frames, _eval_on_frames
 from harmonic2v.transvector import chain
 
-from conftest import inner_ux, normsq_u, normsq_x, one, poly
+from conftest import inner_ux, normsq_u, normsq_x, one, poly, random_polynomial
 from reference import (
     monte_carlo_whole_chunks,
     stiefel_fibration_integral,

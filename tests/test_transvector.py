@@ -16,10 +16,10 @@ from harmonic2v import (
 )
 from harmonic2v import transvector
 from harmonic2v.operators import laplacian_u, laplacian_x, mul_inner_ux, mul_normsq_u, mul_normsq_x
-from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic, random_polynomial
+from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic
 from harmonic2v.transvector import chain, generator_chain, is_double_harmonic, nested_sum
 
-from conftest import inner_ux, normsq_x, one, poly
+from conftest import inner_ux, normsq_x, one, poly, random_polynomial
 from reference import extremal_projection_termwise
 
 
