@@ -14,7 +14,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional
 
 from .decomp import DecompositionResult, decompose_full
-from .errors import PolySyntaxError, VariableOutOfRange
 from .parser import parse_poly
 from .poly import Polynomial
 from .stiefel import sphere_integrate, stiefel_integrate
@@ -123,22 +122,43 @@ def _decomposition_json(result: DecompositionResult, check: str) -> Iterator[str
     yield "\n}\n"
 
 
+def _decomposition_text(result: DecompositionResult, check: str) -> Iterator[str]:
+    """The ``--format text`` document in lines; harmonics print in the --poly
+    grammar, so each line parses back."""
+    yield f"input: {result.source}  (m={result.m})\n"
+    for entry in result.entries:
+        idx = entry.component.index
+        step = "S_x" if entry.component.mirrored else "S_u"
+        yield (
+            f"|x|^{2 * entry.a}|u|^{2 * entry.b} C^{idx.i} {step}^{idx.j} "
+            f"of H({idx.k},{idx.l}): {entry.component.harmonic}\n"
+        )
+    yield f"reconstruction: {check}\n"
+
+
+def _short_coefficients(polys) -> bool:
+    """True when no packed numerator or denominator of ``polys`` reaches
+    10^sys.get_int_max_str_digits(), so that every coefficient renders as text."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return True
+    bound = 10**limit
+    return all(
+        p._den < bound and all(-bound < a < bound and -bound < b < bound for a, b in p._terms.values())
+        for p in polys
+    )
+
+
 def cmd_decompose(args) -> int:
     result = decompose_full(_load_poly(args))
     check = "exact" if result.is_exact() else "FAILED"
-    if args.format == "json":
-        sys.stdout.writelines(_decomposition_json(result, check))
-    else:
-        # Harmonics print in the --poly grammar, so each line parses back.
-        print(f"input: {result.source}  (m={result.m})")
-        for entry in result.entries:
-            idx = entry.component.index
-            step = "S_x" if entry.component.mirrored else "S_u"
-            print(
-                f"|x|^{2 * entry.a}|u|^{2 * entry.b} C^{idx.i} {step}^{idx.j} "
-                f"of H({idx.k},{idx.l}): {entry.component.harmonic}"
-            )
-        print(f"reconstruction: {check}")
+    render = _decomposition_json if args.format == "json" else _decomposition_text
+    chunks = render(result, check)
+    if not _short_coefficients([result.source] + [e.component.harmonic for e in result.entries]):
+        # A coefficient may be too long to render: finish the document before
+        # writing any of it, so that the error leaves stdout empty.
+        chunks = ["".join(chunks)]
+    sys.stdout.writelines(chunks)
     return 0 if check == "exact" else 1
 
 
@@ -207,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=SUITE_NAMES, required=True)
     ver.add_argument("--m", type=_int_at_least(1, MAX_M), default=5)
     ver.add_argument("--max-bidegree", type=_int_at_least(0, MAX_VERIFY_BIDEGREE), default=3)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_int_at_least(0), default=0)
     ver.set_defaults(fn=cmd_verify)
     return parser
 
@@ -225,9 +245,7 @@ def main(argv: Optional[list] = None) -> int:
         parser.error(f"argument --m: must be <= {MAX_LADDER_M} with --suite ladder, got {args.m}")
     try:
         return args.fn(args)
-    except (
-        PolySyntaxError, VariableOutOfRange, OSError, ValueError, ArithmeticError
-    ) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,11 +80,7 @@ def verify_product_transformation(a, b, c, n, z) -> bool:
         raise ValueError("n must be a positive integer")
     n = int(n)
     first = eval_pfq((-1, a + c, b - c), (a + n, b + n), z)
-    second = (
-        Fraction(1)
-        if n == 1
-        else eval_pfq((-n + 1, a + b + n + 1, a + c, b - c), (a + 1, b + 1, a + b + 1), z)
-    )
+    second = eval_pfq((-n + 1, a + b + n + 1, a + c, b - c), (a + 1, b + 1, a + b + 1), z)
     third = eval_pfq((-n, a + b + n, a + c, b - c), (a + 1, b + 1, a + b + 1), z)
     lhs = first * second - third
     coeff = (
@@ -113,11 +109,7 @@ def verify_unit_argument_product(a, b, c, n) -> bool:
     n = int(n)
     lhs = eval_pfq((-n, a + b + n, a + c, b - c), (a + 1, b + 1, a + b + 1))
     factor = 1 - (a + c) * (b - c) / ((a + n) * (b + n))
-    second = (
-        Fraction(1)
-        if n == 1
-        else eval_pfq((-n + 1, a + b + n + 1, a + c, b - c), (a + 1, b + 1, a + b + 1))
-    )
+    second = eval_pfq((-n + 1, a + b + n + 1, a + c, b - c), (a + 1, b + 1, a + b + 1))
     closed_form_ok = factor == eval_pfq((-1, a + c, b - c), (a + n, b + n))
     return closed_form_ok and lhs == factor * second
 

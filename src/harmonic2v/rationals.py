@@ -96,7 +96,14 @@ class GaussianRational:
 def fraction_text(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
+    except ValueError:  # more digits than sys.get_int_max_str_digits() converts
+        import sys
+
+        raise ValueError(
+            f"a coefficient exceeds the limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def gaussian_text(a: int, b: int, den: int) -> str:
@@ -132,10 +139,3 @@ def falling(a, n: int) -> Fraction:
     for t in range(n):
         out *= a - t
     return out
-
-
-def rising_ext(a, n: int) -> Fraction:
-    """Upper factorial extended to n = -1 by a^(-1) = 1/(a-1)."""
-    if n == -1:
-        return 1 / (Fraction(a) - 1)
-    return rising(a, n)

@@ -21,10 +21,10 @@ from fractions import Fraction
 from math import factorial, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fischer import _pi_ij, mul_norm_powers
+from .fischer import _layer_scale, _pi_ij, mul_norm_powers
 from .operators import cross_dd, laplacian_x, mul_inner_ux
 from .poly import FIELD_BITS, Polynomial, exponents
-from .rationals import GaussianRational, rising, rising_ext
+from .rationals import GaussianRational, rising
 from .transvector import _require_theory_dimension, chain, nested_sum
 
 
@@ -112,20 +112,20 @@ def a_c_power_constant(beta: int, m: int) -> Fraction:
 def gamma_constant(i: int, m: int) -> Fraction:
     """Weight gamma_i of the A^{2i} term in the Stiefel Pizzetti formula.
 
-    gamma_i = (-1)^i / (2^{2i+1} i! (m-1)^(2i-1) (m/2+i-1)^(i+1)), with the
-    upper factorial extended by alpha^(-1) = 1/(alpha-1) so that gamma_0 = 1.
-    The denominator collects the annihilation-constant product A^{2i}C^{2i}[1]
-    and the central Gegenbauer value of the zonal embedding.
+    gamma_0 = 1, and gamma_i = (-1)^i / (2^{2i+1} i! (m-1)^(2i-1) (m/2+i-1)^(i+1))
+    for i >= 1.  The denominator collects the annihilation-constant product
+    A^{2i}C^{2i}[1] and the central Gegenbauer value of the zonal embedding.
     """
     _require_theory_dimension(m)
     if i < 0:
         raise ValueError("index must be non-negative")
-    half_m = Fraction(m, 2)
+    if i == 0:
+        return Fraction(1)
     den = (
         Fraction(2) ** (2 * i + 1)
         * factorial(i)
-        * rising_ext(Fraction(m - 1), 2 * i - 1)
-        * rising(half_m + i - 1, i + 1)
+        * rising(Fraction(m - 1), 2 * i - 1)
+        * rising(Fraction(m, 2) + i - 1, i + 1)
     )
     sign = -1 if i % 2 else 1
     return Fraction(sign) / den
@@ -193,24 +193,17 @@ def sphere_integrate(p: Polynomial) -> SphereIntegral:
     m = p.m
     if any(ku for _, ku in p.bidegree_split()):
         raise ValueError("sphere integration expects a polynomial in x only")
-    half_m = Fraction(m, 2)
+    # the mean over S^{m-1} is sum_k (Delta^k p)(0) / (4^k k! (m/2)^(k))
     acc = GaussianRational()
-    q = p
-    k = 0
-    scale = Fraction(1)
+    q, k = p, 0
     while not q.is_zero():
-        if k:
-            scale /= 4 * k * (half_m + k - 1)
-        acc = acc + q.constant_term() * scale
+        acc = acc + q.constant_term() * _layer_scale(2 * k, m, k)
         q = laplacian_x(q)
         k += 1
-    if m % 2 == 0:
-        coeff = acc * Fraction(2, factorial(m // 2 - 1))
-        power = Fraction(m, 2)
-    else:
-        coeff = acc * (2 / rising(Fraction(1, 2), (m - 1) // 2))
-        power = Fraction(m - 1, 2)
-    return SphereIntegral(coeff, power)
+    # |S^{m-1}| = 2 pi^{m/2} / Gamma(m/2), where Gamma(m/2) = Gamma(g) g^(m/2-g)
+    # for g = 1 (even m) or g = 1/2 (odd m, whose Gamma(1/2) = sqrt(pi))
+    g = Fraction(2 - m % 2, 2)
+    return SphereIntegral(acc * (2 / rising(g, int(Fraction(m, 2) - g))), Fraction(m // 2))
 
 
 # -- Monte Carlo oracle ----------------------------------------------------------
@@ -221,27 +214,13 @@ _MC_CHUNK = 1 << 16
 _MC_BLOCK = 1 << 12
 
 
-def _chunk_plan(n: int, chunk: int = _MC_CHUNK) -> List[Tuple[int, int]]:
-    """Fixed partition of n samples into (chunk_index, count) pieces."""
-    plan = []
-    idx = 0
-    remaining = n
-    while remaining > 0:
-        take = min(chunk, remaining)
-        plan.append((idx, take))
-        idx += 1
-        remaining -= take
-    return plan
-
-
-def _haar_frames(m: int, count: int, seed: int, chunk_index: int, out=None):
+def _haar_frames(m: int, count: int, seed: int, chunk_index: int, out):
     """Haar-distributed orthonormal 2-frames via Gaussian draws + Gram-Schmidt.
 
     Returns (omega, eta) as m x count coordinate-row views of ``out``, a
-    (2m, >= count) buffer allocated when not given.  Each chunk owns an
-    independent counter-based substream keyed by (seed, chunk_index), so any
-    partition of chunks across workers reproduces the sequential stream
-    exactly.  The chunk is drawn and orthonormalized in order, in blocks of
+    (2m, >= count) buffer.  Each chunk owns an independent counter-based
+    substream keyed by (seed, chunk_index), so any partition of chunks across
+    workers reproduces the sequential stream exactly.  The chunk is drawn and orthonormalized in order, in blocks of
     ``_MC_BLOCK`` frames, which gives the frames of drawing it all at once; a
     degenerate draw (norm < 1e-12) is redrawn right after its block, not
     after the whole chunk.
@@ -250,8 +229,6 @@ def _haar_frames(m: int, count: int, seed: int, chunk_index: int, out=None):
 
     key = (np.uint64(seed), np.uint64(chunk_index))
     rng = np.random.Generator(np.random.Philox(key=key))
-    if out is None:
-        out = np.empty((2 * m, count))
     for start in range(0, count, _MC_BLOCK):
         stop = min(start + _MC_BLOCK, count)
         g = rng.standard_normal((stop - start, 2, m))
@@ -316,8 +293,8 @@ def monte_carlo_many(
     sums = [0.0] * len(polys)
     sqsums = [0.0] * len(polys)
     rows = np.empty((2 * m, min(n, _MC_CHUNK)))  # reused by every chunk
-    for chunk_index, count in _chunk_plan(n):
-        omega, eta = _haar_frames(m, count, seed, chunk_index, rows)
+    for chunk_index, start in enumerate(range(0, n, _MC_CHUNK)):
+        omega, eta = _haar_frames(m, min(_MC_CHUNK, n - start), seed, chunk_index, rows)
         for t, q in enumerate(polys):
             vals = _eval_on_frames(q, omega, eta)
             sums[t] += float(vals.sum())

@@ -202,6 +202,8 @@ def run_suite(name: str, m: int, max_bidegree: int = 3, seed: int = 0) -> Dict[s
     """Run one named verification suite and return a JSON-ready report."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if seed < 0:  # random.Random would seed with |seed|
+        raise ValueError(f"seed must be non-negative, got {seed}")
     # Below m = 5 the samplers may never end and the ladder sums divide by zero.
     _require_theory_dimension(m)
     checks = _SUITES[name](m, max_bidegree, seed)

@@ -66,7 +66,7 @@ from harmonic2v.decomp import (
 from harmonic2v.fischer import _pi_ij
 from harmonic2v.operators import cross_dd, laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x, skew_xu
 from harmonic2v.poly import FIELD_MASK, exponents, field_shift
-from harmonic2v.stiefel import _chunk_plan, gamma_constant
+from harmonic2v.stiefel import gamma_constant
 from harmonic2v.transvector import chain
 
 _A, _S_X = GeneratorTag.A, GeneratorTag.S_X
@@ -347,11 +347,16 @@ def eval_on_frame_columns(p: Polynomial, omega, eta):
     return vals
 
 
+#: Frames per Philox substream: frame t of a run is frame t mod 65,536 of chunk t // 65,536.
+FRAMES_PER_CHUNK = 1 << 16
+
+
 def monte_carlo_whole_chunks(polys: Sequence[Polynomial], n: int, seed: int) -> List[Tuple[float, float]]:
     """(estimate, stderr) of each polynomial's real part, chunk by chunk."""
     sums = [0.0] * len(polys)
     sqsums = [0.0] * len(polys)
-    for chunk_index, count in _chunk_plan(n):
+    for chunk_index in range(-(-n // FRAMES_PER_CHUNK)):
+        count = min(FRAMES_PER_CHUNK, n - chunk_index * FRAMES_PER_CHUNK)
         omega, eta = haar_frames_whole_chunk(polys[0].m, count, seed, chunk_index)
         for t, q in enumerate(polys):
             vals = eval_on_frame_columns(q, omega, eta)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -360,6 +361,12 @@ def test_appendix_fails_when_whipple_draws_run_out(monkeypatch):
     assert report["passed"] is False
 
 
+def test_run_suite_rejects_negative_seed():
+    # random.Random seeds with |seed|, so -5 would repeat the draws of seed 5
+    with pytest.raises(ValueError, match="non-negative"):
+        run_suite("orthogonality", 5, seed=-5)
+
+
 def test_cli_verify_ladder_vacuous(capsys):
     code = main(["verify", "--suite", "ladder", "--m", "5", "--max-bidegree", "0"])
     out = json.loads(capsys.readouterr().out)
@@ -446,6 +453,40 @@ def test_cli_poly_file_directory_exit_code(tmp_path, capsys):
     assert "Traceback" not in stderr
 
 
+#: (99...9)^64 with 100 nines: a coefficient of 6,400 digits.
+HUGE_POWER = f"({'9' * 100})^64"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--m", "5", "--poly", f"{HUGE_POWER}*x1*u1"],
+        ["decompose", "--m", "5", "--poly", f"{HUGE_POWER}*x1*u1", "--format", "text"],
+        ["integrate", "--m", "5", "--poly", f"{HUGE_POWER}*x1^2"],
+        ["integrate", "--m", "5", "--poly", f"{HUGE_POWER}*x1^2", "--manifold", "sphere"],
+    ],
+)
+def test_cli_coefficient_too_long_to_print_writes_nothing(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a coefficient exceeds the limit of 4300 digits\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_decompose_long_packed_coefficients_still_print(fmt, capsys):
+    # 1/D and D share one packed denominator D, so the packed numerator D^2 passes
+    # the digit limit though every printed coefficient is within it
+    d = "1" + "0" * 2200
+    text = f"1/{d}*x1*u2 + {d}*x2*u3"
+    assert main(["decompose", "--m", "5", "--poly", text, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert out == decomposition_json(decompose_full(parse_poly(text, 5)), "exact") + "\n"
+    else:
+        assert out.endswith("reconstruction: exact\n") and f"1/{d}*x1*u2" in out
+
+
 @pytest.mark.parametrize("samples", ["0", "-3", str(cli.MAX_MC_SAMPLES + 1), str(10**11)])
 def test_cli_rejects_out_of_range_mc_samples(samples, capsys):
     with pytest.raises(SystemExit) as err:
@@ -488,6 +529,7 @@ def test_cli_usage_error_exit_code():
         ["verify", "--suite", "relations", "--max-bidegree", str(10**6)],
         ["integrate", "--m", "5", "--poly", "x1^2", "--mc-samples", "10", "--seed=-1"],
         ["integrate", "--m", "5", "--poly", "x1^2", "--mc-samples", "10", "--seed", str(2**64)],
+        ["verify", "--suite", "orthogonality", "--m", "5", "--seed=-5"],
     ],
 )
 def test_cli_rejects_out_of_range_arguments(argv, capsys):
@@ -503,55 +545,68 @@ def test_cli_rejects_out_of_range_arguments(argv, capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("decompose_x1u1_m5", ["decompose", "--m", "5", "--poly", "x1*u1"]),
-        ("integrate_x1sq_m5", ["integrate", "--m", "5", "--poly", "x1^2"]),
-        ("integrate_sphere_one_m4", ["integrate", "--m", "4", "--poly", "1", "--manifold", "sphere"]),
-        ("verify_relations_m6", ["verify", "--suite", "relations", "--m", "6"]),
-        (
-            "decompose_mirrored_m5",
-            ["decompose", "--m", "5", "--poly", "x1*u2^2 - 2/3*x2*u1*u3 + i*u1^3"],
-        ),
-        (
-            "decompose_m6",
-            ["decompose", "--m", "6", "--poly", "x1^2*u1^2 - u1*x2 + 3*x1*x2*u3^2"],
-        ),
-        ("decompose_zero_m5", ["decompose", "--m", "5", "--poly", "0"]),
-        (
-            "decompose_complex_m10",
-            ["decompose", "--m", "10", "--poly", "(1/2-3/4*i)*x10^2*u9 + 7/3*x1*u10^2"],
-        ),
-        (
-            "decompose_mirrored_m5_text",
-            ["decompose", "--m", "5", "--poly", "x1*u2^2 - 2/3*x2*u1*u3 + i*u1^3", "--format", "text"],
-        ),
-        (
-            "integrate_mc_x1sq_u2sq_m5",
-            ["integrate", "--m", "5", "--poly", "x1^2*u2^2", "--mc-samples", "100000", "--seed", "3"],
-        ),
-        (
-            "integrate_mc_m9",
-            [
-                "integrate", "--m", "9", "--poly", "x1^2*u1^2 - 3/2*x2*x3*u2*u3 + 4*x9^4 + 2",
-                "--mc-samples", "70000", "--seed", "11",
-            ],
-        ),
-        (
-            "integrate_stiefel_m6",
-            [
-                "integrate", "--m", "6",
-                "--poly", "x1^4*x2^2*u1^2*u3^4 - 3/2*x1^2*x2^2*u1^2*u2^2 + 5/7*x3^6*u3^6",
-            ],
-        ),
-        ("verify_ladder_m5", ["verify", "--suite", "ladder", "--m", "5"]),
-    ],
-)
-def test_cli_stdout_matches_golden(name, argv, capsys):
+#: (name, argv) of every golden: tests/golden/<name>.json, or .txt for --format text.
+GOLDEN_CASES = [
+    ("decompose_x1u1_m5", ["decompose", "--m", "5", "--poly", "x1*u1"]),
+    ("integrate_x1sq_m5", ["integrate", "--m", "5", "--poly", "x1^2"]),
+    ("integrate_sphere_one_m4", ["integrate", "--m", "4", "--poly", "1", "--manifold", "sphere"]),
+    ("verify_relations_m6", ["verify", "--suite", "relations", "--m", "6"]),
+    (
+        "decompose_mirrored_m5",
+        ["decompose", "--m", "5", "--poly", "x1*u2^2 - 2/3*x2*u1*u3 + i*u1^3"],
+    ),
+    (
+        "decompose_m6",
+        ["decompose", "--m", "6", "--poly", "x1^2*u1^2 - u1*x2 + 3*x1*x2*u3^2"],
+    ),
+    ("decompose_zero_m5", ["decompose", "--m", "5", "--poly", "0"]),
+    (
+        "decompose_complex_m10",
+        ["decompose", "--m", "10", "--poly", "(1/2-3/4*i)*x10^2*u9 + 7/3*x1*u10^2"],
+    ),
+    (
+        "decompose_mirrored_m5_text",
+        ["decompose", "--m", "5", "--poly", "x1*u2^2 - 2/3*x2*u1*u3 + i*u1^3", "--format", "text"],
+    ),
+    (
+        "integrate_mc_x1sq_u2sq_m5",
+        ["integrate", "--m", "5", "--poly", "x1^2*u2^2", "--mc-samples", "100000", "--seed", "3"],
+    ),
+    (
+        "integrate_mc_m9",
+        [
+            "integrate", "--m", "9", "--poly", "x1^2*u1^2 - 3/2*x2*x3*u2*u3 + 4*x9^4 + 2",
+            "--mc-samples", "70000", "--seed", "11",
+        ],
+    ),
+    (
+        "integrate_stiefel_m6",
+        [
+            "integrate", "--m", "6",
+            "--poly", "x1^4*x2^2*u1^2*u3^4 - 3/2*x1^2*x2^2*u1^2*u2^2 + 5/7*x3^6*u3^6",
+        ],
+    ),
+    ("verify_ladder_m5", ["verify", "--suite", "ladder", "--m", "5"]),
+]
+
+
+def _golden(name, argv):
     suffix = ".txt" if "text" in argv else ".json"
+    return (GOLDEN / f"{name}{suffix}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_CASES)
+def test_cli_stdout_matches_golden(name, argv, capsys):
     assert main(argv) == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}{suffix}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == _golden(name, argv)
+
+
+@pytest.mark.skipif(shutil.which("harmonic2v") is None, reason="no harmonic2v console script on PATH")
+@pytest.mark.parametrize("name, argv", GOLDEN_CASES)
+def test_installed_script_stdout_matches_golden(name, argv):
+    run = subprocess.run(["harmonic2v", *argv], capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == _golden(name, argv)
 
 
 #: Runs each argv of its first argument with stdout discarded, checking that

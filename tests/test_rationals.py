@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from harmonic2v import GaussianRational, falling, rising
-from harmonic2v.rationals import GAUSSIAN_I, rising_ext
+from harmonic2v.rationals import GAUSSIAN_I
 
 
 def test_lowest_terms_and_positive_denominator():
@@ -61,5 +61,3 @@ def test_pochhammer_products():
     assert rising(4, 0) == 1
     assert falling(4, 2) == 12
     assert falling(Fraction(1, 2), 1) == Fraction(1, 2)
-    assert rising_ext(Fraction(7, 2), -1) == Fraction(2, 5)
-    assert rising_ext(3, 2) == 12

@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from harmonic2v import (
@@ -22,11 +23,12 @@ from harmonic2v import (
 from harmonic2v.fischer import _pi_ij
 from harmonic2v.operators import cross_dd, mul_inner_ux, mul_normsq_u, mul_normsq_x
 from harmonic2v.sampling import random_bihomogeneous, random_coefficient
-from harmonic2v.stiefel import _MC_CHUNK, _chunk_plan, _diagonal_terms, _haar_frames, _eval_on_frames
+from harmonic2v.stiefel import _MC_CHUNK, _diagonal_terms, _haar_frames, _eval_on_frames
 from harmonic2v.transvector import chain
 
 from conftest import inner_ux, normsq_u, normsq_x, one, poly, random_polynomial
 from reference import (
+    FRAMES_PER_CHUNK,
     monte_carlo_whole_chunks,
     stiefel_fibration_integral,
     stiefel_full_chain_integral,
@@ -286,6 +288,24 @@ def test_sphere_surface_area_m4():
     assert str(result) == "2 * pi^2"
 
 
+@pytest.mark.parametrize(
+    "m, area",
+    [
+        (1, "2 * pi^0"),
+        (2, "2 * pi^1"),
+        (3, "4 * pi^1"),
+        (4, "2 * pi^2"),
+        (5, "8/3 * pi^2"),
+        (6, "1 * pi^3"),
+        (7, "16/15 * pi^3"),
+        (8, "1/3 * pi^4"),
+    ],
+)
+def test_sphere_surface_areas(m, area):
+    # the classical |S^{m-1}| = 2 pi^{m/2} / Gamma(m/2) for both parities of m
+    assert str(sphere_integrate(one(m))) == area
+
+
 def test_sphere_odd_vanishes():
     assert sphere_integrate(poly("x1", 5)).coefficient.is_zero()
 
@@ -391,12 +411,12 @@ def test_monte_carlo_partition_invariance():
     p = poly("x1^2*u2^2", 5)
     n, seed = 150_000, 4
     seq_est, seq_err = stiefel_monte_carlo(p, n, seed)
-    plan = _chunk_plan(n)
-    split = len(plan) // 2
+    # chunks 0-1 hold 65,536 frames each and chunk 2 the last 18,928
+    plan = [(0, FRAMES_PER_CHUNK), (1, FRAMES_PER_CHUNK), (2, n - 2 * FRAMES_PER_CHUNK)]
     total, sq = 0.0, 0.0
-    for part in (plan[:split], plan[split:]):
+    for part in (plan[:1], plan[1:]):
         for chunk_index, count in part:
-            omega, eta = _haar_frames(p.m, count, seed, chunk_index)
+            omega, eta = _haar_frames(p.m, count, seed, chunk_index, np.empty((2 * p.m, count)))
             vals = _eval_on_frames(p, omega, eta)
             total += float(vals.sum())
             sq += float((vals * vals).sum())
