@@ -35,8 +35,9 @@ MAX_VERIFY_BIDEGREE = 4
 
 #: Largest ``verify --suite ladder --m`` accepted.  The suite builds its
 #: generator chains term by term at every m, so its cost grows with m: in
-#: process, about 0.25 s at m = 5, 0.7 s at 8, 1.9 s at 12 and 3.9 s at 16 on
-#: a 2-CPU x86_64 host (the other suites take at most about 3 s at m = 64).
+#: process on a 2-CPU x86_64 host, at ``--max-bidegree`` 3 about 0.12 s at
+#: m = 5, 0.4 s at 8, 1.1 s at 12 and 2.9 s at 16, and at 4 about 0.3, 1.05,
+#: 3.2 and 8.3 s (the other suites take at most about 3 s at m = 64).
 MAX_LADDER_M = 12
 
 #: Largest ``--m`` accepted.  A key holds 2m bytes and every operator atom makes

@@ -82,26 +82,12 @@ def ladder_phi(i: int, j: int, k: int, l: int, m: int) -> Fraction:
     _check_kl(k, l)
     if i < 0 or j < 0:
         raise IndexOutOfRange("ladder indices must be non-negative")
-    if j == 0:
-        return Fraction(0)
-    half_m = Fraction(m, 2)
-    return (
-        Fraction(j)
-        * (k - l - (j - 1))
-        * (l + j + half_m - 2)
-        / (l + i + j + half_m - 2)
-    )
+    return ladder_alpha(i, j, 0, 1, k, l, m) if j else Fraction(0)
 
 
 def ladder_c(i: int, k: int, l: int, m: int) -> Fraction:
     """Constant of A on C^i H_{k,l}: image is c_i * C^{i-1} H_{k,l}; c_0 = 0."""
-    _check_kl(k, l)
-    if i < 0:
-        raise IndexOutOfRange("ladder index must be non-negative")
-    if i == 0:
-        return Fraction(0)
-    half_m = Fraction(m, 2)
-    return Fraction(i) * (k + half_m + i - 1) * (k + l + m + i - 3) / (k + half_m + i - 2)
+    return ladder_psi(i, 0, k, l, m)
 
 
 def ladder_psi(i: int, j: int, k: int, l: int, m: int) -> Fraction:
@@ -109,16 +95,7 @@ def ladder_psi(i: int, j: int, k: int, l: int, m: int) -> Fraction:
     _check_kl(k, l)
     if i < 0 or j < 0:
         raise IndexOutOfRange("ladder indices must be non-negative")
-    if i == 0:
-        return Fraction(0)
-    half_m = Fraction(m, 2)
-    return (
-        Fraction(i)
-        * (k + half_m + i - 1)
-        * (l + half_m + i - 2)
-        * (k + l + m + i - 3)
-        / ((k + half_m + i - j - 2) * (l + half_m + i + j - 2))
-    )
+    return ladder_alpha(i, j, 1, 0, k, l, m) if i else Fraction(0)
 
 
 # The ladder constants are pure functions of a few small ints, called once per
@@ -258,19 +235,6 @@ def _orient(p: Polynomial) -> Tuple[Polynomial, bool]:
     return (p.swap_vectors(), True) if k < l else (p, False)
 
 
-def _ladder(p: Polynomial) -> List[Tuple[int, int]]:
-    """The cells (i, j), i + j <= min(k, l), of p's bidegree (k, l); none for p = 0.
-
-    Only m > 4 is checked here.  A nonzero p without a bidegree gets the one
-    cell (0, 0), whose projection reports why p is not a layer.
-    """
-    _require_theory_dimension(p.m)
-    if p.is_zero():
-        return []
-    l = min(p.bidegree() or (0, 0))
-    return [(i, j) for i in range(l + 1) for j in range(l - i + 1)]
-
-
 def project_component(p: Polynomial, i: int, j: int) -> SimplicialComponent:
     """Extract the (i, j) ladder cell of a nonzero bihomogeneous double harmonic.
 
@@ -293,15 +257,24 @@ def project_component(p: Polynomial, i: int, j: int) -> SimplicialComponent:
 
 def master_projection(p: Polynomial) -> Polynomial:
     """Project a bihomogeneous double harmonic onto its simplicial part, cell (0, 0)."""
-    return project_component(p, 0, 0).harmonic if _ladder(p) else p
+    _require_theory_dimension(p.m)
+    return p if p.is_zero() else project_component(p, 0, 0).harmonic
 
 
 # -- decomposition ----------------------------------------------------------------
 
 
 def decompose_double_harmonic(p: Polynomial) -> List[SimplicialComponent]:
-    """Split a bihomogeneous double harmonic into its nonzero ladder cells."""
-    cells = (project_component(p, i, j) for i, j in _ladder(p))
+    """Split a bihomogeneous double harmonic into its nonzero ladder cells.
+
+    The cells of bidegree (k, l) are (i, j), i + j <= min(k, l); p = 0 has none.
+    A nonzero p without a bidegree gets the cell (0, 0), whose projection says why.
+    """
+    _require_theory_dimension(p.m)
+    if p.is_zero():
+        return []
+    l = min(p.bidegree() or (0, 0))
+    cells = (project_component(p, i, j) for i in range(l + 1) for j in range(l - i + 1))
     return [comp for comp in cells if not comp.harmonic.is_zero()]
 
 

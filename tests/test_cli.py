@@ -29,6 +29,7 @@ from harmonic2v.cli import main
 from harmonic2v.errors import ZeroNormalizer
 from harmonic2v.parser import MAX_DEGREE, MAX_TERMS
 from harmonic2v.poly import Monomial
+from harmonic2v.sampling import random_double_harmonic
 from harmonic2v.suites import WHIPPLE_DRAWS
 
 from conftest import poly, random_polynomial
@@ -65,6 +66,19 @@ def test_parse_error_carries_position():
         with pytest.raises(PolySyntaxError) as err:
             parse_poly(text, 5)
         assert err.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, message", [("1/0", "zero denominator (at position 3)"), ("(x1", "expected ')' (at position 3)")]
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(PolySyntaxError) as err:
+        parse_poly(text, 5)
+    assert str(err.value) == message
+
+
+def test_parse_sign_after_operator():
+    assert parse_poly("x1*-x2", 5) == poly("-x1*x2", 5)
 
 
 def test_parse_rejects_trailing_garbage():
@@ -367,6 +381,29 @@ def test_run_suite_rejects_negative_seed():
         run_suite("orthogonality", 5, seed=-5)
 
 
+def test_verify_ladder_runs_the_given_max_bidegree():
+    report = run_suite("ladder", 5, max_bidegree=4)
+    assert len(report["checks"]) == 474 and report["passed"] is True
+
+
+def test_verify_appendix_at_max_bidegree_zero_has_no_g_checks():
+    report = run_suite("appendix", 5, max_bidegree=0)
+    assert report["passed"] is True
+    assert not [c for c in report["checks"] if c["name"].startswith("G(")]
+
+
+def test_verify_relations_at_max_bidegree_zero_draws_only_constants(monkeypatch):
+    drawn = []
+
+    def recording(m, k, l, rng):
+        drawn.append((k, l))
+        return random_double_harmonic(m, k, l, rng)
+
+    monkeypatch.setattr(suites, "random_double_harmonic", recording)
+    assert run_suite("relations", 5, max_bidegree=0)["passed"] is True
+    assert drawn == [(0, 0)] * 20
+
+
 def test_cli_verify_ladder_vacuous(capsys):
     code = main(["verify", "--suite", "ladder", "--m", "5", "--max-bidegree", "0"])
     out = json.loads(capsys.readouterr().out)
@@ -587,6 +624,8 @@ GOLDEN_CASES = [
         ],
     ),
     ("verify_ladder_m5", ["verify", "--suite", "ladder", "--m", "5"]),
+    ("verify_pizzetti_m5", ["verify", "--suite", "pizzetti", "--m", "5"]),
+    ("verify_orthogonality_m5", ["verify", "--suite", "orthogonality", "--m", "5"]),
 ]
 
 

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonic2v import (
+    DecompositionResult,
     GeneratorTag,
     IndexOutOfRange,
     NotDoubleHarmonic,
     Polynomial,
+    c_power_one,
     decompose_double_harmonic,
     decompose_full,
     fischer_inner_product,
@@ -64,6 +66,16 @@ def test_hwv_is_simplicial():
                 assert cross_dd(hw).is_zero() and skew_xu(hw).is_zero()
 
 
+def test_is_simplicial_rejects_each_failing_condition():
+    m = 5
+    assert not is_simplicial(poly("x1^2", m))  # not harmonic in x
+    u1 = poly("u1", m)
+    # <x, d_u> u1 = x1, but <u, d_x> u1 = 0: simplicial only when mirrored
+    assert not is_simplicial(u1) and is_simplicial(u1, mirrored=True)
+    # <u, x> is double harmonic, but <d_u, d_x> <u, x> = m
+    assert not any(is_simplicial(c_power_one(1, m), mirrored) for mirrored in (False, True))
+
+
 def test_hwv_rejects_bad_weights():
     with pytest.raises(IndexOutOfRange):
         highest_weight_vector(1, 2, 5)
@@ -93,21 +105,6 @@ def test_ladder_phi_at_i_zero_j_one():
             assert ladder_phi(0, 1, k, l, m) == k - l
 
 
-def test_ladder_consistency_alpha_vs_phi_psi():
-    # the identities live on the ladder itself, i.e. on cells with j <= k - l
-    for m in (5, 6):
-        for k in range(4):
-            for l in range(k + 1):
-                for i in range(3):
-                    for j in range(1, min(2, k - l) + 1):
-                        assert ladder_alpha(i, j, 0, 1, k, l, m) == ladder_phi(i, j, k, l, m)
-                for i in range(1, 3):
-                    for j in range(min(2, k - l) + 1):
-                        assert ladder_alpha(i, j, 1, 0, k, l, m) == ladder_psi(i, j, k, l, m)
-                for i in range(1, 3):
-                    assert ladder_psi(i, 0, k, l, m) == ladder_c(i, k, l, m)
-
-
 def test_ladder_alpha_range_errors():
     with pytest.raises(IndexOutOfRange):
         ladder_alpha(1, 1, 2, 0, 3, 2, 5)
@@ -115,6 +112,14 @@ def test_ladder_alpha_range_errors():
         ladder_alpha(1, 1, 0, 2, 3, 2, 5)
     with pytest.raises(IndexOutOfRange):
         ladder_phi(0, 1, 1, 2, 5)
+    # the unit steps check their indices on the zero branch too
+    for args in [(-1, 0, 2, 1, 5), (0, -1, 2, 1, 5), (0, 0, 1, 2, 5)]:
+        for constant in (ladder_phi, ladder_psi):
+            with pytest.raises(IndexOutOfRange):
+                constant(*args)
+    for args in [(-1, 2, 1, 5), (0, 1, 2, 5)]:
+        with pytest.raises(IndexOutOfRange):
+            ladder_c(*args)
 
 
 # -- master projection ----------------------------------------------------------
@@ -531,6 +536,14 @@ def test_decomposition_orthogonality_report(rng):
     report = verify_component_orthogonality(decompose_full(p))
     assert report["passed"]
     assert report["pairs_checked"] == report["components"] * (report["components"] - 1) // 2
+
+
+def test_orthogonality_report_names_a_failing_pair():
+    # a component listed twice is not orthogonal to its copy
+    result = decompose_full(poly("x1*u1", 5))
+    doubled = DecompositionResult(result.m, result.source, result.entries + result.entries[:1])
+    report = verify_component_orthogonality(doubled)
+    assert report["failures"] == [(0, 2)] and report["passed"] is False
 
 
 def test_cross_fischer_orthogonality_example(rng):
