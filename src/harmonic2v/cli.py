@@ -2,7 +2,8 @@
 
 Output is deterministic JSON (sorted keys, rationals as strings); exit codes
 are 0 on success, 1 when a verification suite fails, 2 on usage, file, parse
-or arithmetic errors (such as a vanishing normalizer).
+or arithmetic errors (such as a vanishing normalizer) and on a failed
+allocation.
 """
 
 from __future__ import annotations
@@ -248,6 +249,9 @@ def main(argv: Optional[list] = None) -> int:
         return args.fn(args)
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # its str() is empty
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -72,8 +72,10 @@ def verify_whipple(a, b, z, n, u, v, w) -> bool:
 def verify_product_transformation(a, b, c, n, z) -> bool:
     """Product/difference identity linking 3F2 and 4F3 values at argument z.
 
-    The n = 1 case makes the right-hand 4F3 non-terminating behind a zero
-    coefficient; the zero short-circuits so the series is never evaluated.
+    The right-hand coefficient's numerator vanishes at n = 1, where the
+    right-hand 4F3 does not terminate, and at z = 1; a zero numerator
+    short-circuits before the division, so neither that series nor a zero
+    denominator is evaluated.
     """
     a, b, c, z = map(Fraction, (a, b, c, z))
     if int(n) != n or n < 1:
@@ -83,35 +85,19 @@ def verify_product_transformation(a, b, c, n, z) -> bool:
     second = eval_pfq((-n + 1, a + b + n + 1, a + c, b - c), (a + 1, b + 1, a + b + 1), z)
     third = eval_pfq((-n, a + b + n, a + c, b - c), (a + 1, b + 1, a + b + 1), z)
     lhs = first * second - third
-    coeff = (
-        z
-        * (z - 1)
-        * (1 - n)
-        * (a + b + n + 1)
-        * (a + c)
-        * (b - c)
-        / ((a + 1) * (b + 1) * (a + n) * (b + n))
-    )
+    coeff = z * (z - 1) * (1 - n) * (a + b + n + 1) * (a + c) * (b - c)
     if not coeff:
-        rhs = Fraction(0)
-    else:
-        rhs = coeff * eval_pfq(
-            (-n + 2, a + b + n + 2, a + c + 1, b - c + 1), (a + 2, b + 2, a + b + 1), z
-        )
-    return lhs == rhs
+        return lhs == 0
+    coeff /= (a + 1) * (b + 1) * (a + n) * (b + n)
+    return lhs == coeff * eval_pfq(
+        (-n + 2, a + b + n + 2, a + c + 1, b - c + 1), (a + 2, b + 2, a + b + 1), z
+    )
 
 
 def verify_unit_argument_product(a, b, c, n) -> bool:
-    """The z = 1 specialization: the shifted 4F3 absorbs a two-term 3F2 factor."""
-    a, b, c = map(Fraction, (a, b, c))
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
-    n = int(n)
-    lhs = eval_pfq((-n, a + b + n, a + c, b - c), (a + 1, b + 1, a + b + 1))
-    factor = 1 - (a + c) * (b - c) / ((a + n) * (b + n))
-    second = eval_pfq((-n + 1, a + b + n + 1, a + c, b - c), (a + 1, b + 1, a + b + 1))
-    closed_form_ok = factor == eval_pfq((-1, a + c, b - c), (a + n, b + n))
-    return closed_form_ok and lhs == factor * second
+    """The z = 1 specialization, where the right-hand side's factor z - 1
+    vanishes: the 4F3 equals the two-term 3F2 factor times the shifted 4F3."""
+    return verify_product_transformation(a, b, c, n, 1)
 
 
 # -- the vanishing sum certifying the master projection -----------------------------

@@ -131,11 +131,7 @@ def rising(a, n: int) -> Fraction:
 
 
 def falling(a, n: int) -> Fraction:
-    """Lower factorial a_(n) = a (a-1) ... (a-n+1); empty product for n = 0."""
+    """Lower factorial a_(n) = a (a-1) ... (a-n+1) = (a-n+1)^(n)."""
     if n < 0:
         raise ValueError("falling factorial needs n >= 0")
-    out = Fraction(1)
-    a = Fraction(a)
-    for t in range(n):
-        out *= a - t
-    return out
+    return rising(Fraction(a) - n + 1, n)

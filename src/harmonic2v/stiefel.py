@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import factorial, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .decomp import ladder_alpha
 from .fischer import _layer_scale, _pi_ij, mul_norm_powers
 from .operators import cross_dd, laplacian_x, mul_inner_ux
 from .poly import FIELD_BITS, Polynomial, exponents
@@ -75,6 +76,14 @@ def gegenbauer(beta: int, lam) -> Dict[int, Fraction]:
     return out
 
 
+def _zonal_coefficients(beta: int, m: int) -> Dict[int, Fraction]:
+    """{n: c_n} with C^beta[1] = sum_n c_n |x|^{beta-n} |u|^{beta-n} <u,x>^n:
+    the Gegenbauer coefficients, scaled so that the <u,x>^beta term is monic."""
+    lam = Fraction(m, 2) - 1
+    prefactor = Fraction(factorial(beta)) / (Fraction(2) ** beta * rising(lam, beta))
+    return {n: prefactor * c for n, c in gegenbauer(beta, lam).items()}
+
+
 def c_power_one(beta: int, m: int) -> Polynomial:
     """The zonal double harmonic C^beta[1], via its Gegenbauer closed form.
 
@@ -86,49 +95,32 @@ def c_power_one(beta: int, m: int) -> Polynomial:
     _require_theory_dimension(m)
     if beta < 0:
         raise ValueError("power must be non-negative")
-    lam = Fraction(m, 2) - 1
-    prefactor = Fraction(factorial(beta)) / (Fraction(2) ** beta * rising(lam, beta))
     coeffs: List[Optional[Polynomial]] = [None] * (beta + 1)
-    for degree, coeff in gegenbauer(beta, lam).items():
-        j = (beta - degree) // 2
-        coeffs[degree] = mul_norm_powers(Polynomial.constant(m, prefactor * coeff), j, j)
+    for n, c in _zonal_coefficients(beta, m).items():
+        j = (beta - n) // 2
+        coeffs[n] = mul_norm_powers(Polynomial.constant(m, c), j, j)
     return nested_sum(mul_inner_ux, coeffs)
 
 
 def a_c_power_constant(beta: int, m: int) -> Fraction:
-    """The scalar A^{2 beta} C^{2 beta} [1]: product of the annihilation constants."""
+    """The scalar A^{2 beta} C^{2 beta} [1]: the ladder constant of A^{2 beta}
+    on the cell C^{2 beta} of weight (0, 0)."""
     if beta < 0:
         raise ValueError("power must be non-negative")
-    n = 2 * beta
-    half_m = Fraction(m, 2)
-    return (
-        Fraction(factorial(n))
-        * (n + half_m - 1)
-        / (half_m - 1)
-        * rising(m - 2, n)
-    )
+    return ladder_alpha(2 * beta, 0, 2 * beta, 0, 0, 0, m)
 
 
 def gamma_constant(i: int, m: int) -> Fraction:
     """Weight gamma_i of the A^{2i} term in the Stiefel Pizzetti formula.
 
-    gamma_0 = 1, and gamma_i = (-1)^i / (2^{2i+1} i! (m-1)^(2i-1) (m/2+i-1)^(i+1))
-    for i >= 1.  The denominator collects the annihilation-constant product
-    A^{2i}C^{2i}[1] and the central Gegenbauer value of the zonal embedding.
+    gamma_i is the value of C^{2i}[1] on a frame (|x| = |u| = 1, <u,x> = 0),
+    its constant zonal coefficient, over A^{2i}C^{2i}[1].  In closed form
+    gamma_0 = 1 and gamma_i = (-1)^i / (2^{2i+1} i! (m-1)^(2i-1) (m/2+i-1)^(i+1)).
     """
     _require_theory_dimension(m)
     if i < 0:
         raise ValueError("index must be non-negative")
-    if i == 0:
-        return Fraction(1)
-    den = (
-        Fraction(2) ** (2 * i + 1)
-        * factorial(i)
-        * rising(Fraction(m - 1), 2 * i - 1)
-        * rising(Fraction(m, 2) + i - 1, i + 1)
-    )
-    sign = -1 if i % 2 else 1
-    return Fraction(sign) / den
+    return _zonal_coefficients(2 * i, m)[0] / a_c_power_constant(i, m)
 
 
 # -- the Stiefel functional ----------------------------------------------------------

@@ -20,6 +20,12 @@ library's Stiefel path (``gamma_constant``, ``_pi_ij``, ``cross_dd``).
 The full-chain Stiefel integral applies A^{2i} to the whole layer H_i, where
 the library first keeps only its diagonal terms x^c u^c.
 
+The closed forms of gamma_i and A^{2 beta} C^{2 beta}[1] are written as
+explicit products, where the library divides a zonal coefficient of C^{2i}[1]
+by a ladder constant.  The unit-argument product identity is checked with its
+3F2 factor as the two-term sum 1 - (a+c)(b-c)/((a+n)(b+n)), where the library
+evaluates the general product transformation at z = 1.
+
 The polynomial text is rendered term by term from the ``Monomial`` and
 ``GaussianRational`` that ``terms()`` yields, where ``str(Polynomial)`` reads
 the packed keys and integer numerators.
@@ -54,6 +60,7 @@ from harmonic2v import (
     Polynomial,
     VariableOutOfRange,
     double_fischer,
+    eval_pfq,
     ladder_alpha,
     sphere_integrate,
 )
@@ -191,6 +198,37 @@ def stiefel_fibration_integral(p: Polynomial) -> GaussianRational:
         den = 2**h * factorial(h) * prod(m - 1 + 2 * t for t in range(h))
         total = total + sphere_integrate(part).coefficient * Fraction(1, den)
     return total / sphere_integrate(Polynomial.constant(m, 1)).coefficient
+
+
+def a_c_power_closed_form(beta: int, m: int) -> Fraction:
+    """A^{2 beta} C^{2 beta}[1] = n! (n + m/2 - 1) / (m/2 - 1) (m-2)^(n), n = 2 beta."""
+    n = 2 * beta
+    half_m = Fraction(m, 2)
+    return factorial(n) * (n + half_m - 1) / (half_m - 1) * prod(m - 2 + t for t in range(n))
+
+
+def gamma_closed_form(i: int, m: int) -> Fraction:
+    """gamma_0 = 1 and gamma_i = (-1)^i / (2^{2i+1} i! (m-1)^(2i-1) (m/2+i-1)^(i+1))."""
+    if i == 0:
+        return Fraction(1)
+    den = (
+        2 ** (2 * i + 1)
+        * factorial(i)
+        * prod(m - 1 + t for t in range(2 * i - 1))
+        * prod(Fraction(m, 2) + i - 1 + t for t in range(i + 1))
+    )
+    return Fraction((-1) ** i) / den
+
+
+def unit_argument_product_two_term(a, b, c, n: int) -> bool:
+    """4F3(-n, a+b+n, a+c, b-c; a+1, b+1, a+b+1; 1) equals the two-term 3F2
+    factor times the shifted 4F3, and the factor equals eval_pfq's 3F2."""
+    a, b, c = map(Fraction, (a, b, c))
+    lhs = eval_pfq((-n, a + b + n, a + c, b - c), (a + 1, b + 1, a + b + 1))
+    factor = 1 - (a + c) * (b - c) / ((a + n) * (b + n))
+    second = eval_pfq((-n + 1, a + b + n + 1, a + c, b - c), (a + 1, b + 1, a + b + 1))
+    closed_form_ok = factor == eval_pfq((-1, a + c, b - c), (a + n, b + n))
+    return closed_form_ok and lhs == factor * second
 
 
 def partial(p: Polynomial, axis: str, index: int) -> Polynomial:

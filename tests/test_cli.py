@@ -490,6 +490,31 @@ def test_cli_poly_file_directory_exit_code(tmp_path, capsys):
     assert "Traceback" not in stderr
 
 
+def _limit_address_space():
+    """In the child only: cap its address space at 200 MiB."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps allocations on Linux")
+def test_cli_out_of_memory_exit_code():
+    # Decomposing x1^20*u1^20 needs far more than 200 MiB: without a handler
+    # the run ends in a MemoryError traceback and exit 1.
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "harmonic2v.cli", "decompose", "--m", "5", "--poly", "x1^20*u1^20"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=_limit_address_space,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 2, run.stderr[-2000:]
+    assert run.stdout == ""
+    assert run.stderr == "error: out of memory\n"
+
+
 #: (99...9)^64 with 100 nines: a coefficient of 6,400 digits.
 HUGE_POWER = f"({'9' * 100})^64"
 
@@ -626,6 +651,7 @@ GOLDEN_CASES = [
     ("verify_ladder_m5", ["verify", "--suite", "ladder", "--m", "5"]),
     ("verify_pizzetti_m5", ["verify", "--suite", "pizzetti", "--m", "5"]),
     ("verify_orthogonality_m5", ["verify", "--suite", "orthogonality", "--m", "5"]),
+    ("verify_appendix_m5", ["verify", "--suite", "appendix", "--m", "5"]),
 ]
 
 

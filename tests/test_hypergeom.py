@@ -16,6 +16,8 @@ from harmonic2v import (
     verify_whipple,
 )
 
+from reference import unit_argument_product_two_term
+
 
 def contiguous_holds(a, b, c, d, e, f, g) -> bool:
     """Three-term relation shifting one lower parameter of a terminating 4F3(1).
@@ -167,6 +169,32 @@ def test_unit_argument_product_consistent_at_one():
             c = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
             assert verify_product_transformation(a, b, c, n, 1)
             assert verify_unit_argument_product(a, b, c, n)
+
+
+def test_unit_argument_product_matches_two_term_form():
+    # every (a, b, c, n) that criterion 8 and the appendix suite can draw
+    ab = sorted({Fraction(k, d) for k in range(1, 7) for d in (1, 2)})
+    cs = sorted({Fraction(k, d) for k in range(-3, 4) for d in (1, 2)})
+    for a in ab:
+        for b in ab:
+            for c in cs:
+                for n in (1, 2, 3):
+                    assert verify_unit_argument_product(a, b, c, n)
+                    assert unit_argument_product_two_term(a, b, c, n), (a, b, c, n)
+
+
+def test_product_transformation_zero_numerator_skips_a_zero_denominator():
+    # b + 1 = 0 zeroes the right-hand coefficient's denominator, and z = 1 its
+    # numerator; b - c = 0 ends every series at its first term
+    assert unit_argument_product_two_term(-4, -1, -1, 2)
+    assert verify_product_transformation(-4, -1, -1, 2, 1)
+    assert verify_unit_argument_product(-4, -1, -1, 2)
+
+
+def test_unit_argument_product_argument_check():
+    for n in (0, Fraction(3, 2)):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            verify_unit_argument_product(1, 1, 0, n)
 
 
 def test_g_sum_diagonal_is_one():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -61,3 +62,11 @@ def test_pochhammer_products():
     assert rising(4, 0) == 1
     assert falling(4, 2) == 12
     assert falling(Fraction(1, 2), 1) == Fraction(1, 2)
+
+
+def test_falling_is_the_explicit_product():
+    for a in (-3, 0, 1, 2, 5, 9, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 2)):
+        for n in range(7):
+            assert falling(a, n) == prod((Fraction(a) - t for t in range(n)), start=Fraction(1)), (a, n)
+    with pytest.raises(ValueError, match="falling factorial needs n >= 0"):
+        falling(3, -1)

@@ -29,6 +29,8 @@ from harmonic2v.transvector import chain
 from conftest import inner_ux, normsq_u, normsq_x, one, poly, random_polynomial
 from reference import (
     FRAMES_PER_CHUNK,
+    a_c_power_closed_form,
+    gamma_closed_form,
     monte_carlo_whole_chunks,
     stiefel_fibration_integral,
     stiefel_full_chain_integral,
@@ -96,6 +98,33 @@ def test_a_c_power_constant_matches_operator_iteration():
         p = c_power_one(2 * beta, m)
         w = generator_chain(p, (GeneratorTag.A,) * (2 * beta))
         assert w == Polynomial.constant(m, a_c_power_constant(beta, m))
+
+
+def test_constants_match_their_closed_forms():
+    # the library derives both from the ladder constant and the zonal coefficients
+    for m in range(5, 41):
+        for i in range(12):
+            assert a_c_power_constant(i, m) == a_c_power_closed_form(i, m), (i, m)
+            assert gamma_constant(i, m) == gamma_closed_form(i, m), (i, m)
+
+
+def test_constants_argument_checks():
+    with pytest.raises(ValueError, match="power must be non-negative"):
+        a_c_power_constant(-1, 5)
+    with pytest.raises(ValueError, match="index must be non-negative"):
+        gamma_constant(-1, 5)
+    with pytest.raises(ValueError, match="requires m > 4"):
+        gamma_constant(1, 4)
+
+
+def test_a_c_power_constant_below_the_theory_dimension():
+    # At m = 2 the empty chain's ladder constant is 1, where the closed form
+    # divides 0 by m/2 - 1 = 0; a nonempty chain still divides by zero.
+    assert a_c_power_constant(0, 2) == 1
+    with pytest.raises(ZeroDivisionError):
+        a_c_power_closed_form(0, 2)
+    with pytest.raises(ZeroDivisionError):
+        a_c_power_constant(1, 2)
 
 
 def test_gamma_zero_is_one():
