@@ -5,12 +5,19 @@ exhaust the bihomogeneous double harmonics.  Closed-form ladder constants give
 exact projections onto every cell; combining them with the double Fischer
 split decomposes arbitrary polynomials into irreducible pieces.
 
-Each cell is projected directly from the layer (``project_component``); no
-cell depends on another.  ``project_component`` is the one checked entry: it
-validates its input and orients it (``_orient``), so that inputs with
-u-degree exceeding x-degree are projected through their x/u swap, and swaps
-the harmonic back.  ``master_projection`` (the (0, 0) cell) and
-``decompose_double_harmonic`` (every cell of the ladder) go through it.
+``project_component`` projects one cell (i, j) of a layer P of x-degree K.
+The cells of a layer share one operand grid G[a, b] = A^a S_x^b P, built on
+demand, each entry one generator step from a neighbour: the cell's operand
+A^i S_x^j P is G[i, j], and each operand A^p S_x^q (A^i S_x^j P) of its master
+series is c G[i+p, j+q], where telescoping A S_x = (H_x+2)/(H_x+1) S_x A gives
+c = (K+j+m/2-1)^(q) / (K+j-i+m/2-1)^(q) in rising factorials.
+``project_component`` is the one checked entry: it validates its input and
+orients it (``_orient``), so that inputs with u-degree exceeding x-degree are
+projected through their x/u swap, and swaps the harmonic back.  A one-entry
+memo keeps the last layer, validated, oriented and with its grid, so the
+successive calls of a decomposition check each layer once.
+``master_projection`` (the (0, 0) cell) and ``decompose_double_harmonic``
+(every cell of the ladder) go through it.
 Mirrored components are flagged and embed through C^i S_x^j instead of
 C^i S_u^j.
 """
@@ -33,6 +40,7 @@ from .transvector import (
     _check_double_harmonic,
     _require_theory_dimension,
     chain,
+    grid_power,
     is_double_harmonic,
     nested_sum,
 )
@@ -185,34 +193,41 @@ def is_simplicial(p: Polynomial, mirrored: bool = False) -> bool:
 # -- master projection ------------------------------------------------------------
 
 
-def _master_projection_dominant(part: Polynomial) -> Polynomial:
-    """Cell (0,0) projection of a bihomogeneous double harmonic with k >= l.
+@lru_cache(maxsize=4096)
+def _commutation_scalar(k: int, i: int, j: int, q: int, m: int) -> Fraction:
+    """c in S_x^q A^i S_x^j P = c A^i S_x^{j+q} P, for a double harmonic P of x-degree k.
 
-    The double series sum_{i,j} w_ij C^i S_u^j A^i S_x^j part is evaluated
-    nested, as sum_i C^i (sum_j S_u^j (w_ij A^i S_x^j part)), innermost sums
-    first.  Every partial sum is bihomogeneous (for fixed i the j-sum from j
-    upward has bidegree (k-i+j, l-i-j)), so the bidegree-dependent scalings of
-    S_u and C apply to it exactly.  Cells of the operand satisfy i + j <= l,
-    so the operands A^i S_x^j part stop at the first annihilated chain.
+    Telescoped from A S_x = (H_x+2)/(H_x+1) S_x A: moving one S_x past A^i on
+    S_x^{j+t} P, of x-degree d = k + j + t, gives (d + m/2 - 1)/(d - i + m/2 - 1).
     """
+    half_m = Fraction(m, 2)
+    return rising(k + j + half_m - 1, q) / rising(k + j - i + half_m - 1, q)
+
+
+def _master_projection_dominant(grid: dict, i: int, j: int) -> Polynomial:
+    """Cell (0,0) projection of the operand w = A^i S_x^j part, for a bihomogeneous
+    double harmonic ``part = grid[0, 0]`` of bidegree (K, L) with K >= L.
+
+    ``grid`` holds G[a, b] = A^a S_x^b part and is filled on demand by
+    ``grid_power``.  Each operand A^p S_x^q w of the series is the grid entry
+    c G[i+p, j+q], c = ``_commutation_scalar(K, i, j, q, m)``.  The double
+    series sum_{p,q} w_pq C^p S_u^q A^p S_x^q w is evaluated nested, as
+    sum_p C^p (sum_q S_u^q (w_pq A^p S_x^q w)), innermost sums first.  Every
+    partial sum is bihomogeneous (for fixed p the q-sum from q upward has
+    bidegree (k-p+q, l-p-q), where (k, l) is w's bidegree), so the
+    bidegree-dependent scalings of S_u and C apply to it exactly.  Operands
+    with p + q > l have negative u-degree and vanish.
+    """
+    part = grid[0, 0]
     m = part.m
-    k, l = part.bidegree()
-    rows: List[List[Polynomial]] = []  # rows[j][i] = w_ij A^i S_x^j part, nonzero ones
-    sx_pow = part
-    while not sx_pow.is_zero():
-        j = len(rows)
-        row = []
-        r = sx_pow
-        while not r.is_zero():
-            row.append(r.scaled(projection_weight(len(row), j, k, l, m)))
-            r = chain(r, (_A,))
-        rows.append(row)
-        sx_pow = chain(sx_pow, (_S_X,))
-    depth = max((len(row) for row in rows), default=0)
-    inner = [
-        nested_sum(_S_U, [row[i] if i < len(row) else None for row in rows])
-        for i in range(depth)
-    ]
+    big_k, big_l = part.bidegree()
+    k, l = big_k - i + j, big_l - i - j
+
+    def term(p: int, q: int) -> Polynomial:
+        weight = _commutation_scalar(big_k, i, j, q, m) * projection_weight(p, q, k, l, m)
+        return grid_power(grid, i + p, j + q, _A, _S_X).scaled(weight)
+
+    inner = [nested_sum(_S_U, [term(p, q) for q in range(l - p + 1)]) for p in range(l + 1)]
     total = nested_sum(_C, inner)
     return Polynomial.zero(m) if total is None else total
 
@@ -235,13 +250,28 @@ def _orient(p: Polynomial) -> Tuple[Polynomial, bool]:
     return (p.swap_vectors(), True) if k < l else (p, False)
 
 
+@lru_cache(maxsize=1)
+def _ladder(p: Polynomial) -> Tuple[Polynomial, bool, dict]:
+    """``_orient(p)`` and the operand grid {(a, b): A^a S_x^b part}, seeded with part.
+
+    ``decompose_double_harmonic`` projects the cells of a layer in turn, so
+    keeping the last layer validates it once and lets its cells share the grid.
+    A raised error is not cached.
+    """
+    part, mirrored = _orient(p)
+    return part, mirrored, {(0, 0): part}
+
+
 def project_component(p: Polynomial, i: int, j: int) -> SimplicialComponent:
     """Extract the (i, j) ladder cell of a nonzero bihomogeneous double harmonic.
 
-    A u-dominant p is projected through its swap; the harmonic is swapped back
+    The cell's operand w = A^i S_x^j p and the operands A^p S_x^q w of its
+    master series are read, up to a closed-form scalar, from one grid of
+    A^a S_x^b p per layer, shared by successive calls on the same p.  A
+    u-dominant p is projected through its swap; the harmonic is swapped back
     and the component flagged ``mirrored``.
     """
-    part, mirrored = _orient(p)
+    part, mirrored, grid = _ladder(p)
     bid = part.bidegree()
     pd, qd = bid
     if not (0 <= i <= qd and 0 <= j <= qd - i):
@@ -250,8 +280,8 @@ def project_component(p: Polynomial, i: int, j: int) -> SimplicialComponent:
     norm = ladder_alpha(i, j, i, j, tk, tl, p.m)
     if not norm:
         raise ZeroNormalizer(f"component ({i},{j}) is absent at target ({tk},{tl})")
-    w = chain(part, (_A,) * i + (_S_X,) * j)
-    h = (_master_projection_dominant(w) if not w.is_zero() else w).scaled(1 / norm)
+    w = grid_power(grid, i, j, _A, _S_X)
+    h = (_master_projection_dominant(grid, i, j) if not w.is_zero() else w).scaled(1 / norm)
     return SimplicialComponent(LadderIndex(i, j, tk, tl), h.swap_vectors() if mirrored else h, mirrored)
 
 

@@ -26,7 +26,7 @@ from .transvector import (
     GeneratorTag,
     _check_double_harmonic,
     _require_theory_dimension,
-    chain,
+    grid_power,
     verify_quadratic_relations,
 )
 
@@ -50,15 +50,6 @@ def _suite_relations(m: int, max_bidegree: int, rng: random.Random) -> Iterator[
         yield f"relation {name}", not bad, {"failing_samples": bad}
 
 
-def _power(built: dict, p: int, q: int, outer: GeneratorTag, inner: GeneratorTag) -> Polynomial:
-    """outer^p inner^q of built[0, 0], kept in built: each power is made once,
-    by one unchecked step from a smaller one (inner steps first, then outer)."""
-    if (p, q) not in built:
-        prev, tag = ((p - 1, q), outer) if p else ((0, q - 1), inner)
-        built[p, q] = chain(_power(built, *prev, outer, inner), (tag,))
-    return built[p, q]
-
-
 def _suite_ladder(m: int, max_bidegree: int, rng: random.Random) -> Iterator[tuple]:
     """Brute-force generator chains against the closed-form ladder constants.
 
@@ -71,11 +62,11 @@ def _suite_ladder(m: int, max_bidegree: int, rng: random.Random) -> Iterator[tup
         for l in range(min(k, 2) + 1):
             hw = highest_weight_vector(k, l, m)
             _check_double_harmonic(hw)
-            cell = partial(_power, {(0, 0): hw}, outer=C, inner=S_U)
+            cell = partial(grid_power, {(0, 0): hw}, outer=C, inner=S_U)
             images = {}
             for i in range(3):
                 for j in range(min(2, k - l) + 1):
-                    image = images[i, j] = partial(_power, {(0, 0): cell(i, j)}, outer=A, inner=S_X)
+                    image = images[i, j] = partial(grid_power, {(0, 0): cell(i, j)}, outer=A, inner=S_X)
                     expect = cell(i, j - 1).scaled(ladder_phi(i, j, k, l, m)) if j else zero
                     yield f"phi({i},{j}) at ({k},{l})", image(0, 1) == expect
                     expect = cell(i - 1, j).scaled(ladder_psi(i, j, k, l, m)) if i else zero

@@ -191,6 +191,16 @@ def nested_sum(step, coeffs: Sequence[Optional[Polynomial]]) -> Optional[Polynom
     return acc
 
 
+def grid_power(built: dict, p: int, q: int, outer, inner) -> Polynomial:
+    """outer^p inner^q of built[0, 0], kept in built: each power is made once,
+    by one unchecked ``chain`` step from a smaller one (inner steps first, then
+    outer)."""
+    if (p, q) not in built:
+        prev, step = ((p - 1, q), outer) if p else ((0, q - 1), inner)
+        built[p, q] = chain(grid_power(built, *prev, outer, inner), (step,))
+    return built[p, q]
+
+
 def generator_chain(p: Polynomial, tags: Sequence[GeneratorTag]) -> Polynomial:
     """Apply a chain of generators, rightmost tag first (domain checked once)."""
     _require_theory_dimension(p.m)

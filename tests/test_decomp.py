@@ -27,12 +27,12 @@ from harmonic2v import (
     verify_component_orthogonality,
 )
 from harmonic2v import transvector
-from harmonic2v.decomp import _master_projection_dominant, _orient, is_simplicial
+from harmonic2v.decomp import _commutation_scalar, _ladder, _master_projection_dominant, _orient, is_simplicial
 from harmonic2v.operators import cross_dd, laplacian_u, laplacian_x, skew_xu
 from harmonic2v.poly import Monomial
 from harmonic2v.rationals import GAUSSIAN_I
 from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic
-from harmonic2v.transvector import generator_chain
+from harmonic2v.transvector import chain, generator_chain, grid_power
 
 from conftest import one, poly
 from reference import peel_double_harmonic
@@ -215,27 +215,63 @@ def _term_by_term_projection(part):
     return total
 
 
+def _operand(part, i, j):
+    """A^i S_x^j part, by its own generator chain."""
+    return generator_chain(part, (GeneratorTag.A,) * i + (GeneratorTag.S_X,) * j)
+
+
 @pytest.mark.parametrize("m", [5, 6, 7])
 def test_nested_master_projection_matches_term_by_term(m, rng):
     for l in range(5):
         k = l + (l + m) % 2
         h = random_double_harmonic(m, k, l, rng)
-        got = _master_projection_dominant(h)
-        assert got == _term_by_term_projection(h), (m, k, l)
+        grid = {(0, 0): h}  # one grid, shared by every cell of the layer
+        for i in range(l + 1):
+            for j in range(l - i + 1):
+                w = _operand(h, i, j)
+                if w.is_zero():
+                    continue
+                got = _master_projection_dominant(grid, i, j)
+                assert got == _term_by_term_projection(w), (m, k, l, i, j)
     h = random_double_harmonic(m, 1, 3, rng)
     mirrored = _term_by_term_projection(h.swap_vectors()).swap_vectors()
     assert master_projection(h) == mirrored
 
 
 def test_project_component_matches_term_by_term_on_every_cell(rng):
-    m = 5
-    p = random_double_harmonic(m, 4, 4, rng)
-    for i in range(5):
-        for j in range(5 - i):
-            w = generator_chain(p, (GeneratorTag.A,) * i + (GeneratorTag.S_X,) * j)
-            norm = ladder_alpha(i, j, i, j, 4 - i + j, 4 - i - j, m)
-            expected = _term_by_term_projection(w) if not w.is_zero() else w
-            assert project_component(p, i, j).harmonic == expected.scaled(1 / norm), (i, j)
+    for m, k, l in [(5, 4, 4), (6, 4, 3), (7, 3, 3), (6, 2, 4)]:
+        p = random_double_harmonic(m, k, l, rng)
+        part = p.swap_vectors() if k < l else p  # a u-dominant layer goes through its swap
+        big_k, big_l = part.bidegree()
+        for i in range(big_l + 1):
+            for j in range(big_l - i + 1):
+                w = _operand(part, i, j)
+                norm = ladder_alpha(i, j, i, j, big_k - i + j, big_l - i - j, m)
+                expected = (_term_by_term_projection(w) if not w.is_zero() else w).scaled(1 / norm)
+                if k < l:
+                    expected = expected.swap_vectors()
+                assert project_component(p, i, j).harmonic == expected, (m, k, l, i, j)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_commutation_scalar_matches_generator_chains(m, rng):
+    """A^r S_x^q (A^i S_x^j P) == c A^{i+r} S_x^{j+q} P for every i + j + q + r <= l,
+    on every x-dominant bidegree up to (5, 5) and a u-dominant input's swap."""
+    A, S_X = GeneratorTag.A, GeneratorTag.S_X
+    parts = [random_double_harmonic(m, k, l, rng, terms=3) for k in range(6) for l in range(k + 1)]
+    parts.append(random_double_harmonic(m, 2, 4, rng, terms=3).swap_vectors())
+    for part in parts:
+        k, l = part.bidegree()
+        grid = {(0, 0): part}
+        for i in range(l + 1):
+            for j in range(l - i + 1):
+                base = _operand(part, i, j)
+                for q in range(l - i - j + 1):
+                    lhs = chain(base, (S_X,) * q)
+                    c = _commutation_scalar(k, i, j, q, m)
+                    for r in range(l - i - j - q + 1):
+                        assert lhs == grid_power(grid, i + r, j + q, A, S_X).scaled(c), (k, l, i, j, q, r)
+                        lhs = chain(lhs, (A,))
 
 
 def test_nested_master_projection_applies_each_generator_once_per_term(rng, monkeypatch):
@@ -252,7 +288,7 @@ def test_nested_master_projection_applies_each_generator_once_per_term(rng, monk
 
     for tag in calls:
         monkeypatch.setitem(transvector._GEN_FUNC, tag, counted(tag, transvector._GEN_FUNC[tag]))
-    _master_projection_dominant(p)
+    _master_projection_dominant({(0, 0): p}, 0, 0)
     applied = calls[GeneratorTag.C] + calls[GeneratorTag.S_U]
     assert applied <= len(terms)
     assert applied < sum(i + j for i, j in terms)
@@ -331,8 +367,8 @@ def test_entry_points_keep_their_typed_errors(text, m, outcomes, entry):
         assert _ENTRY_POINTS[entry](p) == (want if isinstance(want, list) else poly(want, m))
 
 
-def test_each_cell_is_validated_once(rng, monkeypatch):
-    layers = [random_double_harmonic(5, k, l, rng) for k, l in ((3, 2), (2, 3))]
+def _count_checks(monkeypatch):
+    """The inputs of every double-harmonic check made from now on."""
     checked = []
     real = transvector.is_double_harmonic
 
@@ -341,16 +377,48 @@ def test_each_cell_is_validated_once(rng, monkeypatch):
         return real(p)
 
     monkeypatch.setattr(transvector, "is_double_harmonic", counted)
+    _ladder.cache_clear()
+    return checked
+
+
+def test_each_layer_is_validated_once(rng, monkeypatch):
+    layers = [random_double_harmonic(5, k, l, rng) for k, l in ((3, 2), (2, 3))]
+    checked = _count_checks(monkeypatch)
     for p in layers:  # x-dominant, then u-dominant; 6 cells each (i + j <= 2)
         checked.clear()
         decompose_double_harmonic(p)
-        assert len(checked) == 6
-        checked.clear()
-        master_projection(p)
-        assert len(checked) == 1
+        assert checked == [p]
+        master_projection(p)  # the same layer again: already validated
+        project_component(p, 1, 1)
+        assert checked == [p]
         checked.clear()
         generator_chain(p, (GeneratorTag.C,))
         assert len(checked) == 1
+    checked.clear()
+    decompose_double_harmonic(layers[0])  # a different layer since: validated again
+    assert checked == [layers[0]]
+
+
+def test_a_rejected_layer_is_checked_on_every_call(monkeypatch):
+    p = poly("x1^2*u1", 5)
+    checked = _count_checks(monkeypatch)
+    for calls in (1, 2):
+        with pytest.raises(NotDoubleHarmonic):
+            project_component(p, 0, 0)
+        assert len(checked) == calls
+
+
+def test_interleaved_layers_give_fresh_results(rng):
+    layers = [random_double_harmonic(5, 3, 2, rng), random_double_harmonic(5, 2, 3, rng)]
+    cells = [(i, j) for i in range(3) for j in range(3 - i)]
+    fresh = {}
+    for n, p in enumerate(layers):
+        for i, j in cells:
+            _ladder.cache_clear()
+            fresh[n, i, j] = project_component(p, i, j)
+    for i, j in cells:
+        for n, p in enumerate(layers):
+            assert project_component(p, i, j) == fresh[n, i, j], (n, i, j)
 
 
 def test_decompose_x1u1():
