@@ -32,7 +32,7 @@ from typing import Dict, List, Tuple
 
 from .errors import IndexOutOfRange, ZeroNormalizer
 from .fischer import double_fischer, fischer_inner_product, mul_norm_powers
-from .operators import cross_dd, skew_ux, skew_xu
+from .operators import cross_dd, laplacian_u, laplacian_x, linear_combination, skew_ux, skew_xu
 from .poly import Polynomial
 from .rationals import GAUSSIAN_I, falling, rising
 from .transvector import (
@@ -176,8 +176,23 @@ class SimplicialComponent:
     mirrored: bool = False
 
     def embedded(self) -> Polynomial:
-        step = _S_X if self.mirrored else _S_U
-        return chain(self.harmonic, (_C,) * self.index.i + (step,) * self.index.j)
+        """C^i S_u^j harmonic, or C^i S_x^j harmonic when mirrored.
+
+        When <d_u, d_x> and Delta_x kill the harmonic h, S_u^j h is <u, d_x>^j h:
+        <d_u, d_x> <u, d_x> = <u, d_x> <d_u, d_x> + Delta_x, and Delta_x commutes
+        with <u, d_x>, so <d_u, d_x> kills every <u, d_x>^t h and the
+        |u|^2 <d_u, d_x> part of each S_u step is zero.  Mirrored, S_x^j h is
+        <x, d_u>^j h under <d_u, d_x> and Delta_u.  Any other h steps by the
+        generators, so the result is C^i S^j h for every harmonic.
+        """
+        h, (i, j) = self.harmonic, (self.index.i, self.index.j)
+        if self.mirrored:
+            step, skew, lap = _S_X, skew_xu, laplacian_u
+        else:
+            step, skew, lap = _S_U, skew_ux, laplacian_x
+        if j and cross_dd(h).is_zero() and lap(h).is_zero():
+            step = skew
+        return chain(h, (_C,) * i + (step,) * j)
 
 
 def is_simplicial(p: Polynomial, mirrored: bool = False) -> bool:
@@ -329,10 +344,9 @@ class DecompositionResult:
     entries: Tuple[DecompositionEntry, ...]
 
     def reconstruct(self) -> Polynomial:
-        total = Polynomial.zero(self.m)
-        for entry in self.entries:
-            total = total + entry.embedded()
-        return total
+        """The sum of the embedded entries, streamed into one term dict: each
+        embedding is made, added and dropped before the next."""
+        return linear_combination(self.m, ((1, None, entry.embedded()) for entry in self.entries))
 
     def is_exact(self) -> bool:
         return self.reconstruct() == self.source

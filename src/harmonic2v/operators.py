@@ -6,22 +6,32 @@ it shifts the bidegree by a fixed amount (Delta_x by (-2, 0), |x|^2 by (2, 0),
 <u, x> by (1, 1), <d_u, d_x> by (-1, -1), <u, d_x> by (-1, 1), and so on).
 
 Every atom is a sum over j = 1..m of one exponent shift on packed keys (see
-``poly``), times a multiplier read from at most two exponent fields.  One
-kernel serves each multiplier shape, and each atom is a per-m table row of
-field offsets and key deltas for it.
+``poly``), times a multiplier read from at most two exponent fields.  Each
+atom is a per-m table row of field offsets and key deltas for one of three
+kernels: ``_one_field`` (the Laplacians and skews), ``_two_fields``
+(<d_u, d_x>) and ``linear_combination``, which sums c_t Q_t p_t over parts
+whose Q_t is 1 or a quadric |x|^2, |u|^2, <u, x> into one term dict.  The
+three multiplications are its one-part calls; the transvector generators and
+the decomposition certificate are its many-part calls.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from math import gcd
+from typing import Dict, Iterable, Optional, Tuple, Union
 
-from .errors import ExponentOutOfRange
+from .errors import DimensionMismatch, ExponentOutOfRange
 from .poly import FIELD_MASK, MAX_TERM_DEGREE, Polynomial, RawTerms, field_shift
 
 #: Multiplier of d^2/dv^2 and of d/dv on v^k, indexed by k.
 _SECOND = tuple(k * (k - 1) for k in range(FIELD_MASK + 1))
 _FIRST = tuple(range(FIELD_MASK + 1))
+
+#: One summand (c, Q, p) of ``linear_combination``: c * Q * p, Q a quadric's
+#: ``_table`` name or None for 1.
+Part = Tuple[Union[int, Fraction], Optional[str], Polynomial]
 
 
 @lru_cache(maxsize=None)
@@ -42,23 +52,56 @@ def _table(m: int) -> Dict[str, tuple]:
     }
 
 
-def _times_quadric(p: Polynomial, deltas: Tuple[int, ...]) -> Polynomial:
-    """p times a sum of degree-2 monomials, given as their key deltas."""
+def linear_combination(m: int, parts: Iterable[Part]) -> Polynomial:
+    """sum_t c_t Q_t p_t for parts (c_t, Q_t, p_t), written into one term dict.
+
+    c_t is an int or a ``Fraction``; Q_t is None for 1, or "normsq_x",
+    "normsq_u" or "inner_ux" for |x|^2, |u|^2 or <u, x>, added to each key as
+    the quadric's key deltas.  The sum keeps one running denominator and
+    rescales the terms gathered so far, in place, when a part's denominator
+    does not divide it; it is normalized once, at the end.  Empty parts are
+    skipped, and ``parts`` is read once, so a generator can stream them.
+    """
     out: RawTerms = {}
     get = out.get
-    top = MAX_TERM_DEGREE - 2
-    for k, ab in p._terms.items():
-        # The product of nonzero polynomials has the sum of their degrees.
-        if k % FIELD_MASK > top:
-            raise ExponentOutOfRange(
-                f"product of degree {k % FIELD_MASK + 2} exceeds the maximum {MAX_TERM_DEGREE}"
-            )
-        a, b = ab
-        for d in deltas:
-            ne = k + d
-            cur = get(ne)
-            out[ne] = ab if cur is None else (cur[0] + a, cur[1] + b)
-    return Polynomial._packed(p.m, out, p._den)
+    den = 1
+    for c, quadric, p in parts:
+        if not p._terms:
+            continue
+        if p.m != m:
+            raise DimensionMismatch(f"dimension mismatch: {m} vs {p.m}")
+        pd = c.denominator * p._den
+        if den % pd:
+            grown = den // gcd(den, pd) * pd
+            r = grown // den
+            for k, (a, b) in out.items():
+                out[k] = (a * r, b * r)
+            den = grown
+        f = c.numerator * (den // pd)
+        terms = p._terms
+        if quadric is None and not out:
+            out.update(terms if f == 1 else {k: (a * f, b * f) for k, (a, b) in terms.items()})
+        elif quadric is None:
+            for k, (a, b) in terms.items():
+                cur = get(k)
+                out[k] = (a * f, b * f) if cur is None else (cur[0] + a * f, cur[1] + b * f)
+        else:
+            deltas = _table(m)[quadric]
+            top = MAX_TERM_DEGREE - 2
+            for k, ab in terms.items():
+                # The product of nonzero polynomials has the sum of their degrees.
+                if k % FIELD_MASK > top:
+                    raise ExponentOutOfRange(
+                        f"product of degree {k % FIELD_MASK + 2} exceeds the maximum {MAX_TERM_DEGREE}"
+                    )
+                if f != 1:
+                    ab = (ab[0] * f, ab[1] * f)
+                a, b = ab
+                for d in deltas:
+                    ne = k + d
+                    cur = get(ne)
+                    out[ne] = ab if cur is None else (cur[0] + a, cur[1] + b)
+    return Polynomial._packed(m, out, den)
 
 
 def _one_field(
@@ -107,16 +150,16 @@ def laplacian_u(p: Polynomial) -> Polynomial:
 
 
 def mul_normsq_x(p: Polynomial) -> Polynomial:
-    return _times_quadric(p, _table(p.m)["normsq_x"])
+    return linear_combination(p.m, ((1, "normsq_x", p),))
 
 
 def mul_normsq_u(p: Polynomial) -> Polynomial:
-    return _times_quadric(p, _table(p.m)["normsq_u"])
+    return linear_combination(p.m, ((1, "normsq_u", p),))
 
 
 def mul_inner_ux(p: Polynomial) -> Polynomial:
     """Multiplication by <u, x> = sum_j u_j x_j."""
-    return _times_quadric(p, _table(p.m)["inner_ux"])
+    return linear_combination(p.m, ((1, "inner_ux", p),))
 
 
 def cross_dd(p: Polynomial) -> Polynomial:

@@ -17,6 +17,7 @@ from .operators import (
     cross_dd,
     laplacian_u,
     laplacian_x,
+    linear_combination,
     mul_inner_ux,
     mul_normsq_u,
     mul_normsq_x,
@@ -122,30 +123,46 @@ def extremal_projection_s(p: Polynomial) -> Polynomial:
 # -- generators ----------------------------------------------------------------
 
 
+def _skew_den(degree: int, m: int) -> int:
+    """2(d + 1) + m - 4, the scale of the |v|^2 correction of a generator whose
+    image has degree d + 1 in v (the B^{-1} A convention)."""
+    return 2 * (degree + 1) + m - 4
+
+
 def _gen_s_x(part: Polynomial) -> Polynomial:
+    """S_x = <x, d_u> - |x|^2 <d_u, d_x> / dx."""
     m = part.m
-    k, _ = part.bidegree()
-    den = 2 * (k + 1) + m - 4
-    return skew_xu(part) - mul_normsq_x(cross_dd(part)).scaled(Fraction(1, den))
+    dx = _skew_den(part.bidegree()[0], m)
+    return linear_combination(
+        m, ((1, None, skew_xu(part)), (Fraction(-1, dx), "normsq_x", cross_dd(part)))
+    )
 
 
 def _gen_s_u(part: Polynomial) -> Polynomial:
+    """S_u = <u, d_x> - |u|^2 <d_u, d_x> / du."""
     m = part.m
-    _, l = part.bidegree()
-    den = 2 * (l + 1) + m - 4
-    return skew_ux(part) - mul_normsq_u(cross_dd(part)).scaled(Fraction(1, den))
+    du = _skew_den(part.bidegree()[1], m)
+    return linear_combination(
+        m, ((1, None, skew_ux(part)), (Fraction(-1, du), "normsq_u", cross_dd(part)))
+    )
 
 
 def _gen_c(part: Polynomial) -> Polynomial:
+    """C = <u, x> - |x|^2 <u, d_x> / dx - |u|^2 <x, d_u> / du
+    + |x|^2 |u|^2 <d_u, d_x> / (dx du)."""
     m = part.m
     k, l = part.bidegree()
-    dx = 2 * (k + 1) + m - 4
-    du = 2 * (l + 1) + m - 4
-    out = mul_inner_ux(part)
-    out = out - mul_normsq_x(skew_ux(part)).scaled(Fraction(1, dx))
-    out = out - mul_normsq_u(skew_xu(part)).scaled(Fraction(1, du))
-    out = out + mul_normsq_x(mul_normsq_u(cross_dd(part))).scaled(Fraction(1, dx * du))
-    return out
+    dx = _skew_den(k, m)
+    du = _skew_den(l, m)
+    return linear_combination(
+        m,
+        (
+            (1, None, mul_inner_ux(part)),
+            (Fraction(-1, dx), "normsq_x", skew_ux(part)),
+            (Fraction(-1, du), "normsq_u", skew_xu(part)),
+            (Fraction(1, dx * du), "normsq_x", mul_normsq_u(cross_dd(part))),
+        ),
+    )
 
 
 _GEN_FUNC = {

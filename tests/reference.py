@@ -26,6 +26,12 @@ by a ladder constant.  The unit-argument product identity is checked with its
 3F2 factor as the two-term sum 1 - (a+c)(b-c)/((a+n)(b+n)), where the library
 evaluates the general product transformation at z = 1.
 
+The reference generators compose S_x, S_u and C from the atoms and
+``Polynomial`` arithmetic, one normalized intermediate per product, scaling
+and sum, where the library writes each generator's linear combination into
+one term dict; the reference chain applies them to every bidegree part and
+adds the images with ``+``.
+
 The polynomial text is rendered term by term from the ``Monomial`` and
 ``GaussianRational`` that ``terms()`` yields, where ``str(Polynomial)`` reads
 the packed keys and integer numerators.
@@ -71,7 +77,16 @@ from harmonic2v.decomp import (
     SimplicialComponent,
 )
 from harmonic2v.fischer import _pi_ij
-from harmonic2v.operators import cross_dd, laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x, skew_xu
+from harmonic2v.operators import (
+    cross_dd,
+    laplacian_u,
+    laplacian_x,
+    mul_inner_ux,
+    mul_normsq_u,
+    mul_normsq_x,
+    skew_ux,
+    skew_xu,
+)
 from harmonic2v.poly import FIELD_MASK, exponents, field_shift
 from harmonic2v.stiefel import gamma_constant
 from harmonic2v.transvector import chain
@@ -133,6 +148,50 @@ def peel_full(p: Polynomial) -> DecompositionResult:
     ]
     entries.sort(key=lambda e: (e.a, e.b, e.component.index.i, e.component.index.j, e.component.mirrored))
     return DecompositionResult(p.m, p, tuple(entries))
+
+
+def gen_s_x_composed(part: Polynomial) -> Polynomial:
+    m = part.m
+    k, _ = part.bidegree()
+    den = 2 * (k + 1) + m - 4
+    return skew_xu(part) - mul_normsq_x(cross_dd(part)).scaled(Fraction(1, den))
+
+
+def gen_s_u_composed(part: Polynomial) -> Polynomial:
+    m = part.m
+    _, l = part.bidegree()
+    den = 2 * (l + 1) + m - 4
+    return skew_ux(part) - mul_normsq_u(cross_dd(part)).scaled(Fraction(1, den))
+
+
+def gen_c_composed(part: Polynomial) -> Polynomial:
+    m = part.m
+    k, l = part.bidegree()
+    dx = 2 * (k + 1) + m - 4
+    du = 2 * (l + 1) + m - 4
+    out = mul_inner_ux(part)
+    out = out - mul_normsq_x(skew_ux(part)).scaled(Fraction(1, dx))
+    out = out - mul_normsq_u(skew_xu(part)).scaled(Fraction(1, du))
+    out = out + mul_normsq_x(mul_normsq_u(cross_dd(part))).scaled(Fraction(1, dx * du))
+    return out
+
+
+COMPOSED_GENERATORS = {
+    GeneratorTag.S_X: gen_s_x_composed,
+    GeneratorTag.S_U: gen_s_u_composed,
+    GeneratorTag.A: cross_dd,
+    GeneratorTag.C: gen_c_composed,
+}
+
+
+def generator_chain_composed(p: Polynomial, tags: Sequence[GeneratorTag]) -> Polynomial:
+    """Apply the composed generators rightmost first, each to every bidegree part."""
+    for tag in reversed(tags):
+        total = Polynomial.zero(p.m)
+        for part in p.bidegree_split().values():
+            total = total + COMPOSED_GENERATORS[tag](part)
+        p = total
+    return p
 
 
 def _pi_axis_termwise(part: Polynomial, axis: str) -> Polynomial:

@@ -27,7 +27,15 @@ from harmonic2v import (
     verify_component_orthogonality,
 )
 from harmonic2v import transvector
-from harmonic2v.decomp import _commutation_scalar, _ladder, _master_projection_dominant, _orient, is_simplicial
+from harmonic2v.decomp import (
+    LadderIndex,
+    SimplicialComponent,
+    _commutation_scalar,
+    _ladder,
+    _master_projection_dominant,
+    _orient,
+    is_simplicial,
+)
 from harmonic2v.operators import cross_dd, laplacian_u, laplacian_x, skew_xu
 from harmonic2v.poly import Monomial
 from harmonic2v.rationals import GAUSSIAN_I
@@ -497,6 +505,36 @@ def test_u_dominant_input_is_the_mirror_of_its_swap(m, kl, seed):
     assert [c.index for c in got] == [c.index for c in want]
     assert all(c.mirrored for c in got) and not any(c.mirrored for c in want)
     assert [c.harmonic for c in got] == [c.harmonic.swap_vectors() for c in want]
+
+
+def _generator_embedding(comp):
+    step = GeneratorTag.S_X if comp.mirrored else GeneratorTag.S_U
+    return chain(comp.harmonic, (GeneratorTag.C,) * comp.index.i + (step,) * comp.index.j)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_embedded_matches_the_generator_chain(m):
+    rng = random.Random(60 + m)
+    seen = set()
+    for k, l in ((3, 2), (2, 3), (4, 3), (3, 4)):
+        for comp in decompose_double_harmonic(random_double_harmonic(m, k, l, rng, terms=3)):
+            assert comp.embedded() == _generator_embedding(comp)
+            seen.add((comp.mirrored, comp.index.j > 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_embedded_steps_by_the_generators_off_the_simplicial_kernel(mirrored):
+    m = 5
+    rng = random.Random(7)
+    h = random_double_harmonic(m, 3, 1, rng, terms=3)
+    killed_by_a = poly("x1^2", m)  # <d_u, d_x> kills it, Delta_x does not
+    if mirrored:
+        h, killed_by_a = h.swap_vectors(), killed_by_a.swap_vectors()
+    assert not cross_dd(h).is_zero()
+    for harmonic in (h, killed_by_a):
+        comp = SimplicialComponent(LadderIndex(1, 2, 3, 1), harmonic, mirrored)
+        assert comp.embedded() == _generator_embedding(comp)
 
 
 def test_decompose_full_constant():

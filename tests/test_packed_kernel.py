@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic2v import ExponentOutOfRange, GaussianRational, Monomial, Polynomial
+from harmonic2v import DimensionMismatch, ExponentOutOfRange, GaussianRational, Monomial, Polynomial, parse_poly
 from harmonic2v import operators
+from harmonic2v.operators import linear_combination
 from harmonic2v.parser import MAX_DEGREE
 from harmonic2v.poly import MAX_TERM_DEGREE
 
@@ -121,6 +122,94 @@ def test_degrees_split_and_order_match_reference(p):
         assert ref_terms(part) == {e: c for e, c in terms.items() if ref_degrees(e, m) == d}
 
 
+# -- the accumulation kernel -----------------------------------------------------
+
+QUADRICS = (None, "normsq_x", "normsq_u", "inner_ux")
+
+
+def quadric(m, name):
+    """|x|^2, |u|^2 or <u, x> built from its monomials, without the kernel."""
+    zero = (0,) * m
+    unit = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    monos = {
+        "normsq_x": [Monomial(tuple(2 * e for e in v), zero) for v in unit],
+        "normsq_u": [Monomial(zero, tuple(2 * e for e in v)) for v in unit],
+        "inner_ux": [Monomial(v, v) for v in unit],
+    }[name]
+    return Polynomial(m, {mono: 1 for mono in monos})
+
+
+def iterated_sum(m, parts):
+    """sum_t c_t Q_t p_t by ``*``, ``scaled`` and ``+``, one term at a time."""
+    total = Polynomial.zero(m)
+    for c, name, p in parts:
+        total = total + (p if name is None else quadric(m, name) * p).scaled(c)
+    return total
+
+
+def same_representation(got, want):
+    return got.m == want.m and (got._den, got._terms) == (want._den, want._terms)
+
+
+@st.composite
+def combinations(draw):
+    m = draw(st.sampled_from([1, 2, 5, 8]))
+    coeff = st.one_of(
+        st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+    )
+    parts = draw(st.lists(st.tuples(coeff, st.sampled_from(QUADRICS), polys(m)), max_size=5))
+    return m, parts
+
+
+@settings(max_examples=80, deadline=None)
+@given(combinations())
+def test_linear_combination_matches_iterated_sums(case):
+    m, parts = case
+    want = iterated_sum(m, parts)
+    assert same_representation(linear_combination(m, parts), want)
+    assert same_representation(linear_combination(m, (part for part in parts)), want)
+
+
+def test_linear_combination_rescales_to_each_new_denominator():
+    m = 2
+    x1, u1 = Polynomial.variable(m, "x", 1), Polynomial.variable(m, "u", 1)
+    cx = Polynomial(m, {Monomial((1, 0), (0, 0)): GaussianRational(Fraction(1, 5), Fraction(2, 7))})
+    parts = [
+        (Fraction(1, 3), None, x1),
+        (Fraction(1, 4), None, u1),  # 4 does not divide 3: the terms so far are rescaled
+        (Fraction(5, 6), "inner_ux", x1),  # 6 divides 12
+        (Fraction(-1, 3), "normsq_u", cx),  # complex numerators over 35
+        (Fraction(-1, 4), None, u1),
+    ]
+    got = linear_combination(m, parts)
+    assert same_representation(got, iterated_sum(m, parts))
+    assert got._den == 3 * 35 * 2
+    text = "5/6*x1^2*u1 + 5/6*x1*x2*u2 + (-1/15-2/21*i)*x1*u1^2 + (-1/15-2/21*i)*x1*u2^2 + 1/3*x1"
+    assert same_representation(got, parse_poly(text, m))
+
+
+def test_linear_combination_cancels_to_the_zero_polynomial():
+    m = 5
+    coeff = GaussianRational(Fraction(3, 4), Fraction(-1, 6))
+    p = Polynomial(m, {Monomial((1, 0, 2, 0, 0), (0, 1, 0, 0, 0)): coeff})
+    for name in QUADRICS:
+        product = p if name is None else quadric(m, name) * p
+        got = linear_combination(m, ((Fraction(2, 3), name, p), (Fraction(-2, 3), None, product)))
+        assert got._terms == {} and got._den == 1
+
+
+def test_linear_combination_of_nothing_is_zero():
+    m = 5
+    for parts in ((), iter(()), [(7, "normsq_x", Polynomial.zero(m))]):
+        got = linear_combination(m, parts)
+        assert got._terms == {} and got._den == 1
+
+
+def test_linear_combination_rejects_another_dimension():
+    with pytest.raises(DimensionMismatch):
+        linear_combination(5, [(1, None, Polynomial.variable(6, "x", 1))])
+
+
 # -- limits --------------------------------------------------------------------
 
 
@@ -179,3 +268,15 @@ def test_construction_at_the_limit_and_one_past():
         Monomial((MAX_TERM_DEGREE, 0), (0, 1))
     with pytest.raises(ExponentOutOfRange):
         Polynomial(m, {Monomial((MAX_TERM_DEGREE + 1, 0), (0, 0)): 1})
+
+
+@pytest.mark.parametrize("name", ["normsq_x", "normsq_u", "inner_ux"])
+def test_linear_combination_checks_each_quadric_part_at_the_limit(name):
+    m = 5
+    low = mono(m, [1])
+    top = mono(m, [MAX_TERM_DEGREE - 3], [2])  # degree 126: times a quadric is 128
+    below = mono(m, [MAX_TERM_DEGREE - 4], [2])  # degree 125: times a quadric is 127
+    assert linear_combination(m, [(1, name, below)]).total_degree() == MAX_TERM_DEGREE
+    assert linear_combination(m, [(1, None, top), (1, name, low)]).total_degree() == 126
+    with pytest.raises(ExponentOutOfRange):
+        linear_combination(m, [(1, name, low), (Fraction(1, 3), name, top)])

@@ -20,7 +20,7 @@ from harmonic2v.sampling import random_bihomogeneous, random_double_harmonic
 from harmonic2v.transvector import chain, generator_chain, is_double_harmonic, nested_sum
 
 from conftest import inner_ux, normsq_x, one, poly, random_polynomial
-from reference import extremal_projection_termwise
+from reference import COMPOSED_GENERATORS, extremal_projection_termwise, generator_chain_composed
 
 
 def test_projection_of_x1_squared():
@@ -264,3 +264,28 @@ def test_ac_on_constants_gives_m():
     for m in (5, 6, 7):
         got = generator_chain(one(m), (GeneratorTag.A, GeneratorTag.C))
         assert got == Polynomial.constant(m, m)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_generators_match_their_atom_compositions(m):
+    # Every bidegree up to (4, 4), so u-dominant inputs are covered too.
+    rng = random.Random(40 + m)
+    for k in range(5):
+        for l in range(5):
+            h = random_double_harmonic(m, k, l, rng, terms=3)
+            for tag, composed in COMPOSED_GENERATORS.items():
+                assert chain(h, (tag,)) == composed(h), (tag, k, l)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_generator_chains_match_the_composed_chain_on_mixed_bidegrees(m):
+    rng = random.Random(50 + m)
+    tags = list(GeneratorTag)
+    for _ in range(3):
+        p = sum(
+            (random_double_harmonic(m, k, l, rng, terms=2) for k, l in ((1, 3), (2, 2), (3, 1))),
+            Polynomial.zero(m),
+        )
+        assert p.bidegree() is None
+        steps = [rng.choice(tags) for _ in range(3)]
+        assert chain(p, steps) == generator_chain_composed(p, steps), steps
