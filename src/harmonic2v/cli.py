@@ -23,9 +23,10 @@ from .suites import SUITE_NAMES, run_suite
 SCHEMA = "harmonic2v/1"
 
 #: Largest ``--mc-samples`` accepted.  A three-term input at m = 5 takes about
-#: 0.5 s per 10^6 frames on a 2-CPU x86_64 host (5.3 s for 10^7), so the limit
-#: keeps a run to about a minute; frames are drawn in fixed chunks into one
-#: reused buffer of 2m x 65,536 doubles (m MiB), so memory does not grow with it.
+#: 0.3 s per 10^6 frames on a 2-CPU x86_64 host (3.0-3.3 s for 10^7), so the
+#: limit keeps a run under a minute; frames are drawn and evaluated in blocks
+#: of 4,096 into one reused row of 65,536 values per polynomial, so memory does
+#: not grow with it.
 MAX_MC_SAMPLES = 10**8
 
 #: Largest ``verify --max-bidegree`` accepted.  The orthogonality suite checks
@@ -47,8 +48,8 @@ MAX_LADDER_M = 12
 #: 0.15 s and 18 MB at m = 64, but ``x1^4*u1^4`` already takes 0.8-0.9 s and
 #: 106 MB at 32, and 38 s and 1.5 GB at 64; at 32 about nine tenths of the
 #: time is ``fischer._pi_ij``, which builds the Fischer layers through the
-#: extremal projection.  A Monte Carlo check loads numpy and adds its m MiB row
-#: buffer: ``x1^2*u1^2 + x2^2*u3^2`` with 200,000 frames peaks at 119 MB at 64.
+#: extremal projection.  A Monte Carlo check loads numpy and adds a few blocks
+#: of frames: ``x1^2*u1^2 + x2^2*u3^2`` with 200,000 frames peaks at 58 MB at 64.
 MAX_M = 64
 
 

@@ -4,7 +4,8 @@ Grammar: rational literals (``3``, ``-5/7``), the imaginary unit ``i``,
 variables ``x1..x<m>`` and ``u1..u<m>``, operators ``+ - * ^`` and
 parentheses.  ``^`` takes a non-negative integer exponent.  Exponents and
 the total degree of every product and power are capped at ``MAX_DEGREE``,
-and the number of terms a product or power may reach at ``MAX_TERMS``.
+the number of terms a product or power may reach at ``MAX_TERMS``, and the
+nesting of parentheses at ``MAX_NESTING``.
 Printing a polynomial with ``str`` produces text this parser accepts, and
 parsing it back reproduces the polynomial exactly.
 """
@@ -29,6 +30,11 @@ MAX_DEGREE = 64
 #: min(|a|*|b|, number of monomials of degree <= deg(a) + deg(b) in 2m variables).
 MAX_TERMS = 200_000
 
+#: Deepest nesting of parentheses accepted.  Each level costs four frames of
+#: the recursive descent (atom, expression, term, power), so this keeps a
+#: parse far inside Python's default recursion limit of 1,000.
+MAX_NESTING = 100
+
 #: ASCII digits only: ``int`` would also read other Unicode digits, or raise on
 #: superscripts that ``str.isdigit`` accepts.
 _DIGITS = re.compile(r"[0-9]*")
@@ -39,6 +45,7 @@ class _Parser:
         self.text = text
         self.m = m
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise PolySyntaxError(message, self.pos)
@@ -125,23 +132,30 @@ class _Parser:
         return base
 
     def atom(self) -> Polynomial:
+        # a run of unary minuses folds into one sign, so it costs no recursion
+        negate = False
+        while self.peek() == "-":
+            self.pos += 1
+            negate = not negate
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nest deeper than the maximum {MAX_NESTING}")
             self.pos += 1
-            inner = self.expression()
+            self.depth += 1
+            value = self.expression()
+            self.depth -= 1
             self.expect(")")
-            return inner
-        if ch == "-":
+        elif ch.isdigit():
+            value = Polynomial.constant(self.m, self.rational())
+        elif ch == "i" and not self._lookahead_digit():
             self.pos += 1
-            return -self.atom()
-        if ch.isdigit():
-            return Polynomial.constant(self.m, self.rational())
-        if ch == "i" and not self._lookahead_digit():
-            self.pos += 1
-            return Polynomial.constant(self.m, GAUSSIAN_I)
-        if ch in ("x", "u"):
-            return self.variable(ch)
-        self.error("expected a rational, 'i', a variable, or '('")
+            value = Polynomial.constant(self.m, GAUSSIAN_I)
+        elif ch in ("x", "u"):
+            value = self.variable(ch)
+        else:
+            self.error("expected a rational, 'i', a variable, or '('")
+        return -value if negate else value
 
     def _lookahead_digit(self) -> bool:
         nxt = self.pos + 1

@@ -11,7 +11,10 @@ diagonal terms x^c u^c are carried through the chain.
 Floating point appears only in the Monte Carlo oracle; the Pizzetti paths are
 exact end to end.  numpy is imported only inside that oracle (``_haar_frames``,
 ``_eval_on_frames`` and ``monte_carlo_many``, reached through ``--mc-samples``
-and ``stiefel_monte_carlo``), so the exact library never loads it.
+and ``stiefel_monte_carlo``), so the exact library never loads it.  The oracle
+draws and evaluates its frames one block of 4,096 at a time into one
+chunk-length row of values per polynomial; only a call with more than 2m
+polynomials holds a whole chunk of frames, and then one row.
 """
 
 from __future__ import annotations
@@ -201,29 +204,30 @@ def sphere_integrate(p: Polynomial) -> SphereIntegral:
 # -- Monte Carlo oracle ----------------------------------------------------------
 
 _MC_CHUNK = 1 << 16
-#: Frames orthonormalized at a time: a chunk is drawn and orthonormalized in
-#: blocks of this many rows, so the temporaries stay small beside the row buffer.
+#: Frames drawn, orthonormalized and evaluated at a time: a chunk is handled in
+#: blocks of this many frames, so no array spans the chunk's 2m coordinate rows.
 _MC_BLOCK = 1 << 12
 
 
-def _haar_frames(m: int, count: int, seed: int, chunk_index: int, out):
+def _haar_frames(m: int, count: int, seed: int, chunk_index: int):
     """Haar-distributed orthonormal 2-frames via Gaussian draws + Gram-Schmidt.
 
-    Returns (omega, eta) as m x count coordinate-row views of ``out``, a
-    (2m, >= count) buffer.  Each chunk owns an independent counter-based
-    substream keyed by (seed, chunk_index), so any partition of chunks across
-    workers reproduces the sequential stream exactly.  The chunk is drawn and orthonormalized in order, in blocks of
-    ``_MC_BLOCK`` frames, which gives the frames of drawing it all at once; a
-    degenerate draw (norm < 1e-12) is redrawn right after its block, not
-    after the whole chunk.
+    Yields (start, omega, eta) for each block of at most ``_MC_BLOCK`` frames
+    of the chunk, omega and eta as m x b coordinate rows of frames
+    start..start+b-1.  Each chunk owns an independent counter-based substream
+    keyed by (seed, chunk_index), so any partition of chunks across workers
+    reproduces the sequential stream exactly.  The blocks are drawn in order,
+    which gives the frames of drawing the chunk all at once; a degenerate draw
+    (norm < 1e-12) is redrawn right after its block, not after the whole
+    chunk.  The caller may evaluate between blocks: that touches no
+    generator state.
     """
     import numpy as np
 
     key = (np.uint64(seed), np.uint64(chunk_index))
     rng = np.random.Generator(np.random.Philox(key=key))
     for start in range(0, count, _MC_BLOCK):
-        stop = min(start + _MC_BLOCK, count)
-        g = rng.standard_normal((stop - start, 2, m))
+        g = rng.standard_normal((min(_MC_BLOCK, count - start), 2, m))
         while True:
             n1 = np.linalg.norm(g[:, 0, :], axis=1)
             bad = n1 < 1e-12
@@ -240,17 +244,16 @@ def _haar_frames(m: int, count: int, seed: int, chunk_index: int, out):
             fresh = rng.standard_normal((int(bad.sum()), m))
             fresh -= (fresh * omega[bad]).sum(axis=1)[:, None] * omega[bad]
             v[bad] = fresh
-        out[:m, start:stop] = omega.T
-        out[m:, start:stop] = (v / n2[:, None]).T
-    return out[:m, :count], out[m:, :count]
+        yield start, omega.T, (v / n2[:, None]).T
 
 
-def _eval_on_frames(p: Polynomial, omega, eta):
-    """Vectorized real-part evaluation of p on frames given as m x count coordinate rows."""
+def _eval_on_frames(p: Polynomial, omega, eta, vals):
+    """Vectorized real-part evaluation of p on frames given as m x count
+    coordinate rows, written into ``vals``, a row of count doubles."""
     import numpy as np
 
     m = p.m
-    vals = np.zeros(omega.shape[1])
+    vals[:] = 0.0
     den = float(p._den)
     for key, (a, b) in p._terms.items():
         if not a:
@@ -263,14 +266,19 @@ def _eval_on_frames(p: Polynomial, omega, eta):
             if e[m + i]:
                 term *= eta[i] ** e[m + i]
         vals += (a / den) * term
-    return vals
 
 
 def monte_carlo_many(
     polys: Sequence[Polynomial], n: int, seed: int
 ) -> List[Tuple[float, float]]:
     """(estimate, stderr) of the real part of each polynomial, sharing one
-    frame stream and one 2m x 65,536 row buffer across all of them."""
+    frame stream across all of them.
+
+    Each polynomial is evaluated on every block of frames into a chunk-length
+    row of values, and a full row is summed exactly as if the chunk had been
+    evaluated at once, so the estimates do not depend on the block size or on
+    the number of polynomials.
+    """
     import numpy as np
 
     if n < 1:
@@ -284,13 +292,24 @@ def monte_carlo_many(
         raise ValueError("all polynomials must share the ambient dimension")
     sums = [0.0] * len(polys)
     sqsums = [0.0] * len(polys)
-    rows = np.empty((2 * m, min(n, _MC_CHUNK)))  # reused by every chunk
-    for chunk_index, start in enumerate(range(0, n, _MC_CHUNK)):
-        omega, eta = _haar_frames(m, min(_MC_CHUNK, n - start), seed, chunk_index, rows)
-        for t, q in enumerate(polys):
-            vals = _eval_on_frames(q, omega, eta)
-            sums[t] += float(vals.sum())
-            sqsums[t] += float((vals * vals).sum())
+    # Up to 2m polynomials keep one value row each and take the frames block by
+    # block as drawn.  More than that hold the chunk's 2m coordinate rows
+    # instead, the smaller of the two, and take the polynomials one at a time.
+    width = len(polys) if len(polys) <= 2 * m else 1
+    vals = np.empty((width, min(n, _MC_CHUNK)))  # reused by every chunk
+    for chunk_index, first in enumerate(range(0, n, _MC_CHUNK)):
+        count = min(_MC_CHUNK, n - first)
+        blocks = _haar_frames(m, count, seed, chunk_index)
+        if width < len(polys):
+            blocks = list(blocks)
+        for lo in range(0, len(polys), width):
+            for start, omega, eta in blocks:
+                stop = start + omega.shape[1]
+                for t, q in enumerate(polys[lo : lo + width]):
+                    _eval_on_frames(q, omega, eta, vals[t, start:stop])
+            for t, row in enumerate(vals[:, :count], lo):
+                sums[t] += float(row.sum())
+                sqsums[t] += float((row * row).sum())
     out = []
     for t in range(len(polys)):
         mean = sums[t] / n

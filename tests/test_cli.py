@@ -27,7 +27,7 @@ from harmonic2v import (
 from harmonic2v import cli, suites
 from harmonic2v.cli import main
 from harmonic2v.errors import ZeroNormalizer
-from harmonic2v.parser import MAX_DEGREE, MAX_TERMS
+from harmonic2v.parser import MAX_DEGREE, MAX_NESTING, MAX_TERMS
 from harmonic2v.poly import Monomial
 from harmonic2v.sampling import random_double_harmonic
 from harmonic2v.suites import WHIPPLE_DRAWS
@@ -79,6 +79,25 @@ def test_parse_error_messages(text, message):
 
 def test_parse_sign_after_operator():
     assert parse_poly("x1*-x2", 5) == poly("-x1*x2", 5)
+
+
+def test_parse_folds_a_run_of_unary_minuses():
+    # far more minuses than the interpreter's recursion limit of 1,000
+    assert parse_poly("-" * 2000 + "x1", 5) == poly("x1", 5)
+    assert parse_poly("x2*" + "-" * 2001 + "x1^3", 5) == poly("-x1^3*x2", 5)
+    assert parse_poly("x2*--x1^2", 5) == poly("x1^2*x2", 5)
+
+
+def _nested(depth):
+    return "(" * depth + "x1" + ")" * depth
+
+
+def test_parse_nesting_cap():
+    assert parse_poly(_nested(MAX_NESTING), 5) == poly("x1", 5)
+    with pytest.raises(PolySyntaxError) as err:
+        parse_poly(_nested(MAX_NESTING + 1), 5)
+    assert err.value.position == MAX_NESTING  # the innermost '('
+    assert str(MAX_NESTING) in str(err.value)
 
 
 def test_parse_rejects_trailing_garbage():
@@ -449,6 +468,15 @@ def test_cli_parse_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [_nested(250), "-" * 2000 + "x9"], ids=["parentheses", "minuses"])
+def test_cli_deep_nesting_is_one_error_line(text, capsys):
+    # both once ended in a RecursionError traceback
+    assert main(["decompose", "--m", "5", f"--poly={text}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_variable_range_exit_code(capsys):
     code = main(["integrate", "--m", "5", "--poly", "x9"])
     assert code == 2
@@ -652,6 +680,10 @@ GOLDEN_CASES = [
     ("verify_pizzetti_m5", ["verify", "--suite", "pizzetti", "--m", "5"]),
     ("verify_orthogonality_m5", ["verify", "--suite", "orthogonality", "--m", "5"]),
     ("verify_appendix_m5", ["verify", "--suite", "appendix", "--m", "5"]),
+    (
+        "integrate_mc_m64",
+        ["integrate", "--m", "64", "--poly", "x1^2*u1^2 + x2^2*u3^2", "--mc-samples", "200000", "--seed", "1"],
+    ),
 ]
 
 

@@ -23,7 +23,7 @@ from harmonic2v import (
 from harmonic2v.fischer import _pi_ij
 from harmonic2v.operators import cross_dd, mul_inner_ux, mul_normsq_u, mul_normsq_x
 from harmonic2v.sampling import random_bihomogeneous, random_coefficient
-from harmonic2v.stiefel import _MC_CHUNK, _diagonal_terms, _haar_frames, _eval_on_frames
+from harmonic2v.stiefel import _MC_BLOCK, _MC_CHUNK, _diagonal_terms, _haar_frames, _eval_on_frames
 from harmonic2v.transvector import chain
 
 from conftest import inner_ux, normsq_u, normsq_x, one, poly, random_polynomial
@@ -435,8 +435,9 @@ def test_monte_carlo_accepts_largest_seed():
 
 
 def test_monte_carlo_partition_invariance():
-    # accumulating whole chunks on separate workers reproduces the sequential
-    # estimate bit for bit
+    # accumulating whole chunks on separate workers, each evaluating its
+    # chunk block by block into one chunk-length row, reproduces the
+    # sequential estimate bit for bit
     p = poly("x1^2*u2^2", 5)
     n, seed = 150_000, 4
     seq_est, seq_err = stiefel_monte_carlo(p, n, seed)
@@ -445,8 +446,10 @@ def test_monte_carlo_partition_invariance():
     total, sq = 0.0, 0.0
     for part in (plan[:1], plan[1:]):
         for chunk_index, count in part:
-            omega, eta = _haar_frames(p.m, count, seed, chunk_index, np.empty((2 * p.m, count)))
-            vals = _eval_on_frames(p, omega, eta)
+            vals = np.empty(count)
+            for start, omega, eta in _haar_frames(p.m, count, seed, chunk_index):
+                assert omega.shape == eta.shape == (p.m, min(_MC_BLOCK, count - start))
+                _eval_on_frames(p, omega, eta, vals[start : start + omega.shape[1]])
             total += float(vals.sum())
             sq += float((vals * vals).sum())
     import math
@@ -471,18 +474,32 @@ def test_monte_carlo_matches_whole_chunk_oracle(m):
         assert got == monte_carlo_whole_chunks(polys, n, seed=m + n), n
 
 
-@pytest.mark.parametrize("m", [8, 32])
-def test_monte_carlo_memory_stays_near_one_row_buffer(m):
-    # tracemalloc sees numpy's array memory; the buffer holds 2m coordinate rows of a chunk
+def test_monte_carlo_with_more_than_2m_polynomials_matches_whole_chunk_oracle():
+    # beyond 2m polynomials the chunk's frames are held and the polynomials
+    # evaluated one at a time; the bytes are those of the shared stream
+    m = 5
+    polys = [poly(f"x{k}^2*u{j}^2 - {k}/{j}*x{j}*u{k}", m) for k in range(1, 5) for j in range(1, 4)]
+    assert len(polys) > 2 * m
+    for n in (4097, 65537 + 4096):
+        assert monte_carlo_many(polys, n, seed=n) == monte_carlo_whole_chunks(polys, n, seed=n), n
+        assert monte_carlo_many(polys[:2], n, seed=n) == monte_carlo_many(polys, n, seed=n)[:2]
+
+
+@pytest.mark.parametrize("m", [8, 32, 64])
+def test_monte_carlo_memory_stays_near_a_few_blocks(m):
+    # tracemalloc sees numpy's array memory: a block's frames and temporaries
+    # (2m coordinate rows of 4,096 frames each) plus two chunk-length value
+    # rows, far below one 2m x 65,536 buffer of the chunk's coordinate rows
     p = poly("x1^2*u1^2 + x2^2*u3^2", m)
-    row_buffer = 2 * m * _MC_CHUNK * 8
+    block = 2 * m * _MC_BLOCK * 8
+    value_row = _MC_CHUNK * 8
     tracemalloc.start()
     try:
         stiefel_monte_carlo(p, 200_000, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * row_buffer
+    assert peak < 6 * block + 2 * value_row
 
 
 def test_monte_carlo_agrees_with_exact(rng):
