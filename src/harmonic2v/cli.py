@@ -23,10 +23,10 @@ from .suites import SUITE_NAMES, run_suite
 SCHEMA = "harmonic2v/1"
 
 #: Largest ``--mc-samples`` accepted.  A three-term input at m = 5 takes about
-#: 0.3 s per 10^6 frames on a 2-CPU x86_64 host (3.0-3.3 s for 10^7), so the
-#: limit keeps a run under a minute; frames are drawn and evaluated in blocks
-#: of 4,096 into one reused row of 65,536 values per polynomial, so memory does
-#: not grow with it.
+#: 2.8 s per 10^7 frames on a 2-CPU x86_64 host, and 4.2 s on one of its CPUs,
+#: so the limit keeps a run under a minute; each Monte Carlo worker draws and
+#: evaluates frames in blocks of 4,096 into one reused row of 65,536 values per
+#: polynomial, so memory does not grow with it.
 MAX_MC_SAMPLES = 10**8
 
 #: Largest ``verify --max-bidegree`` accepted.  The orthogonality suite checks

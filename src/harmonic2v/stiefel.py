@@ -12,13 +12,16 @@ Floating point appears only in the Monte Carlo oracle; the Pizzetti paths are
 exact end to end.  numpy is imported only inside that oracle (``_haar_frames``,
 ``_eval_on_frames`` and ``monte_carlo_many``, reached through ``--mc-samples``
 and ``stiefel_monte_carlo``), so the exact library never loads it.  The oracle
-draws and evaluates its frames one block of 4,096 at a time into one
-chunk-length row of values per polynomial; only a call with more than 2m
-polynomials holds a whole chunk of frames, and then one row.
+splits its frames into chunks of 65,536, each with its own substream, and runs
+the chunks on one thread per usable CPU, at most one per chunk.  Each worker
+draws and evaluates its frames one block of 4,096 at a time, in place, into
+one chunk-length row of values per polynomial; only a call with more than 2m
+polynomials holds a whole chunk of frames per worker, and then one row.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, sqrt
@@ -209,6 +212,24 @@ _MC_CHUNK = 1 << 16
 _MC_BLOCK = 1 << 12
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, which bounds the Monte Carlo workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _row_norms(rows, products, norms) -> None:
+    """Euclidean norm of each row of ``rows`` into ``norms``, by the ufunc calls
+    of ``np.linalg.norm(rows, axis=1)``, with ``products`` as scratch."""
+    import numpy as np
+
+    np.multiply(rows, rows, out=products)
+    np.add.reduce(products, axis=1, out=norms)
+    np.sqrt(norms, out=norms)
+
+
 def _haar_frames(m: int, count: int, seed: int, chunk_index: int):
     """Haar-distributed orthonormal 2-frames via Gaussian draws + Gram-Schmidt.
 
@@ -219,53 +240,102 @@ def _haar_frames(m: int, count: int, seed: int, chunk_index: int):
     reproduces the sequential stream exactly.  The blocks are drawn in order,
     which gives the frames of drawing the chunk all at once; a degenerate draw
     (norm < 1e-12) is redrawn right after its block, not after the whole
-    chunk.  The caller may evaluate between blocks: that touches no
-    generator state.
+    chunk.  Every block is drawn and orthonormalized in place, in one
+    workspace of 3m + 1 doubles per frame allocated for the chunk, so the rows
+    yielded are views that the next block overwrites: evaluate them before
+    asking for it, or copy them.  Evaluating touches no generator state.
     """
     import numpy as np
 
     key = (np.uint64(seed), np.uint64(chunk_index))
     rng = np.random.Generator(np.random.Philox(key=key))
+    size = min(_MC_BLOCK, count)
+    draws, products, norms = np.empty((size, 2, m)), np.empty((size, m)), np.empty(size)
     for start in range(0, count, _MC_BLOCK):
-        g = rng.standard_normal((min(_MC_BLOCK, count - start), 2, m))
+        b = min(_MC_BLOCK, count - start)
+        g, prod, norm = draws[:b], products[:b], norms[:b]
+        rng.standard_normal(out=g)
+        omega, v = g[:, 0, :], g[:, 1, :]
         while True:
-            n1 = np.linalg.norm(g[:, 0, :], axis=1)
-            bad = n1 < 1e-12
+            _row_norms(omega, prod, norm)
+            bad = norm < 1e-12
             if not bad.any():
                 break
-            g[bad, 0, :] = rng.standard_normal((int(bad.sum()), m))
-        omega = g[:, 0, :] / n1[:, None]
-        v = g[:, 1, :] - (g[:, 1, :] * omega).sum(axis=1)[:, None] * omega
+            omega[bad] = rng.standard_normal((int(bad.sum()), m))
+        np.divide(omega, norm[:, None], out=omega)
+        np.multiply(v, omega, out=prod)
+        np.add.reduce(prod, axis=1, out=norm)
+        np.multiply(norm[:, None], omega, out=prod)
+        np.subtract(v, prod, out=v)
         while True:
-            n2 = np.linalg.norm(v, axis=1)
-            bad = n2 < 1e-12
+            _row_norms(v, prod, norm)
+            bad = norm < 1e-12
             if not bad.any():
                 break
             fresh = rng.standard_normal((int(bad.sum()), m))
             fresh -= (fresh * omega[bad]).sum(axis=1)[:, None] * omega[bad]
             v[bad] = fresh
-        yield start, omega.T, (v / n2[:, None]).T
+        np.divide(v, norm[:, None], out=v)
+        yield start, omega.T, v.T
 
 
 def _eval_on_frames(p: Polynomial, omega, eta, vals):
     """Vectorized real-part evaluation of p on frames given as m x count
-    coordinate rows, written into ``vals``, a row of count doubles."""
+    coordinate rows, written into ``vals``, a row of count doubles.
+
+    Each term starts from its first factor rather than from ones, and each
+    power is raised into one reused scratch row: 1.0 * x == x, so the values
+    are those of the product of every power with a row of ones.
+    """
     import numpy as np
 
     m = p.m
     vals[:] = 0.0
     den = float(p._den)
+    term, power = np.empty((2, vals.shape[0]))
     for key, (a, b) in p._terms.items():
         if not a:
             continue  # imaginary coefficients do not contribute to the real part
         e = exponents(key, m)
-        term = np.ones(omega.shape[1])
-        for i in range(m):
-            if e[i]:
-                term *= omega[i] ** e[i]
-            if e[m + i]:
-                term *= eta[i] ** e[m + i]
-        vals += (a / den) * term
+        factors = [(r, k) for i in range(m) for r, k in ((omega[i], e[i]), (eta[i], e[m + i])) if k]
+        if not factors:
+            vals += a / den
+            continue
+        np.power(*factors[0], out=term)
+        for row, k in factors[1:]:
+            term *= np.power(row, k, out=power)
+        term *= a / den
+        vals += term
+
+
+def _chunk_sums(
+    polys: Sequence[Polynomial], count: int, seed: int, chunk_index: int, vals
+) -> List[Tuple[float, float]]:
+    """(sum, sum of squares) of each polynomial's real part over one chunk.
+
+    The chunk's frames are drawn block by block and each polynomial is
+    evaluated into a chunk-length row of ``vals``, so a full row is summed
+    exactly as if the chunk had been evaluated at once.  ``vals`` holds one
+    row per polynomial, or a single row when there are more than 2m of them:
+    then the chunk's frames are copied out block by block, the smaller of
+    the two, and the polynomials take the row one at a time.
+    """
+    import numpy as np
+
+    width = vals.shape[0]
+    blocks = _haar_frames(polys[0].m, count, seed, chunk_index)
+    if width < len(polys):
+        blocks = [(start, omega.copy(), eta.copy()) for start, omega, eta in blocks]
+    out = []
+    for lo in range(0, len(polys), width):
+        for start, omega, eta in blocks:
+            stop = start + omega.shape[1]
+            for t, q in enumerate(polys[lo : lo + width]):
+                _eval_on_frames(q, omega, eta, vals[t, start:stop])
+        for row in vals[:, :count]:
+            total = float(row.sum())
+            out.append((total, float(np.square(row, out=row).sum())))
+    return out
 
 
 def monte_carlo_many(
@@ -274,10 +344,12 @@ def monte_carlo_many(
     """(estimate, stderr) of the real part of each polynomial, sharing one
     frame stream across all of them.
 
-    Each polynomial is evaluated on every block of frames into a chunk-length
-    row of values, and a full row is summed exactly as if the chunk had been
-    evaluated at once, so the estimates do not depend on the block size or on
-    the number of polynomials.
+    The chunks run on min(chunks, usable CPUs) threads, worker w taking
+    chunks w, w + workers, ...; numpy releases the interpreter lock in the
+    draws and the ufuncs.  Each worker allocates its value rows once and
+    returns each chunk's sums, which are added in chunk order, so the
+    estimates do not depend on the number of workers, the block size or the
+    number of polynomials.  One chunk or one CPU starts no thread.
     """
     import numpy as np
 
@@ -290,30 +362,47 @@ def monte_carlo_many(
     m = polys[0].m
     if any(q.m != m for q in polys):
         raise ValueError("all polynomials must share the ambient dimension")
-    sums = [0.0] * len(polys)
-    sqsums = [0.0] * len(polys)
+    chunks = -(-n // _MC_CHUNK)
+    workers = min(chunks, _usable_cpus())
     # Up to 2m polynomials keep one value row each and take the frames block by
     # block as drawn.  More than that hold the chunk's 2m coordinate rows
     # instead, the smaller of the two, and take the polynomials one at a time.
     width = len(polys) if len(polys) <= 2 * m else 1
-    vals = np.empty((width, min(n, _MC_CHUNK)))  # reused by every chunk
-    for chunk_index, first in enumerate(range(0, n, _MC_CHUNK)):
-        count = min(_MC_CHUNK, n - first)
-        blocks = _haar_frames(m, count, seed, chunk_index)
-        if width < len(polys):
-            blocks = list(blocks)
-        for lo in range(0, len(polys), width):
-            for start, omega, eta in blocks:
-                stop = start + omega.shape[1]
-                for t, q in enumerate(polys[lo : lo + width]):
-                    _eval_on_frames(q, omega, eta, vals[t, start:stop])
-            for t, row in enumerate(vals[:, :count], lo):
-                sums[t] += float(row.sum())
-                sqsums[t] += float((row * row).sum())
+    results: List[List[Tuple[float, float]]] = [[] for _ in range(chunks)]
+    errors: List[BaseException] = []
+
+    def work(w):
+        try:
+            # reused by this worker's chunks, none longer than its first
+            vals = np.empty((width, min(_MC_CHUNK, n - w * _MC_CHUNK)))
+            for c in range(w, chunks, workers):
+                if errors:  # another worker failed, and its error is the one raised
+                    return
+                results[c] = _chunk_sums(polys, min(_MC_CHUNK, n - c * _MC_CHUNK), seed, c, vals)
+        except BaseException as exc:  # re-raised below, on the calling thread
+            errors.append(exc)
+
+    if workers == 1:
+        work(0)
+    else:
+        import threading
+
+        threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
+        for thread in threads:
+            thread.start()
+        work(0)
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     out = []
     for t in range(len(polys)):
-        mean = sums[t] / n
-        var = max(sqsums[t] / n - mean * mean, 0.0)
+        total = sq = 0.0
+        for chunk in results:  # not sum(), which compensates from Python 3.12 on
+            total += chunk[t][0]
+            sq += chunk[t][1]
+        mean = total / n
+        var = max(sq / n - mean * mean, 0.0)
         out.append((mean, sqrt(var / n)))
     return out
 

@@ -1,9 +1,12 @@
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from harmonic2v import cli, stiefel
 from harmonic2v import (
     GaussianRational,
     GeneratorTag,
@@ -459,16 +462,20 @@ def test_monte_carlo_partition_invariance():
     assert mean == seq_est and err == seq_err
 
 
-# numpy sums a row of 8 or more terms pairwise and a shorter one in sequence;
-# the sample counts straddle a block (4,096 frames) and a chunk (65,536 frames)
-@pytest.mark.parametrize("m", [5, 7, 8, 9, 16])
-def test_monte_carlo_matches_whole_chunk_oracle(m):
-    polys = [
+def _mc_polys(m):
+    return [
         poly("x1^2*u2^2", m),
         poly(f"(1/2-3/4*i)*x1^3*u{m}^3 + i*x2^2 - 2/7*x{m}^5*u1*u2^4", m),
         poly("7/3", m),
         poly(f"x1*x2*u1*u2 + 5*x{m - 1}^2*u{m}^6 - 3*u1^2", m),
     ]
+
+
+# numpy sums a row of 8 or more terms pairwise and a shorter one in sequence;
+# the sample counts straddle a block (4,096 frames) and a chunk (65,536 frames)
+@pytest.mark.parametrize("m", [5, 7, 8, 9, 16])
+def test_monte_carlo_matches_whole_chunk_oracle(m):
+    polys = _mc_polys(m)
     for n in (1, 4095, 4097, 65537, 150000):
         got = monte_carlo_many(polys, n, seed=m + n)
         assert got == monte_carlo_whole_chunks(polys, n, seed=m + n), n
@@ -483,6 +490,75 @@ def test_monte_carlo_with_more_than_2m_polynomials_matches_whole_chunk_oracle():
     for n in (4097, 65537 + 4096):
         assert monte_carlo_many(polys, n, seed=n) == monte_carlo_whole_chunks(polys, n, seed=n), n
         assert monte_carlo_many(polys[:2], n, seed=n) == monte_carlo_many(polys, n, seed=n)[:2]
+
+
+# one worker runs the chunks in order; two and three split 1, 2 or 4 chunks
+# unevenly, the last of them short, and switch threads every few microseconds
+@pytest.mark.parametrize("m", [5, 8, 9, 16])
+def test_monte_carlo_bytes_do_not_depend_on_the_worker_count(m, monkeypatch):
+    polys = _mc_polys(m)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for n in (1, 4095, 65536, 65537, 200_000):
+            got = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(stiefel, "_usable_cpus", lambda: workers)
+                got.append(monte_carlo_many(polys, n, seed=n + m))
+            assert got[0] == got[1] == got[2], n
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_monte_carlo_with_more_than_2m_polynomials_does_not_depend_on_the_worker_count(monkeypatch):
+    m = 5
+    polys = [poly(f"x{k}^2*u{j}^2 - {k}/{j}*x{j}*u{k}", m) for k in range(1, 5) for j in range(1, 4)]
+    n = 3 * 65536 + 4097
+    got = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(stiefel, "_usable_cpus", lambda: workers)
+        got.append(monte_carlo_many(polys, n, seed=7))
+    assert got[0] == got[1] == got[2] == monte_carlo_whole_chunks(polys, n, seed=7)
+
+
+def test_monte_carlo_starts_no_thread_for_one_chunk_or_one_cpu(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    p = poly("x1^2*u2^2", 5)
+    monkeypatch.setattr(stiefel, "_usable_cpus", lambda: 4)
+    one_chunk = monte_carlo_many([p], _MC_CHUNK, seed=3)
+    monkeypatch.setattr(stiefel, "_usable_cpus", lambda: 1)
+    assert monte_carlo_many([p], _MC_CHUNK, seed=3) == one_chunk
+    n = 2 * _MC_CHUNK + 1
+    assert monte_carlo_many([p], n, seed=3) == monte_carlo_whole_chunks([p], n, seed=3)
+
+
+# worker w runs chunks w, w + workers, ...: chunk 0 runs on the calling thread
+# while the others are busy, chunks 1 and 2 on started threads
+@pytest.mark.parametrize("workers, failing_chunk", [(2, 1), (3, 2), (2, 0)])
+def test_monte_carlo_worker_out_of_memory_is_one_cli_error(workers, failing_chunk, monkeypatch, capsys):
+    # the MemoryError reaches the caller only after every worker has ended
+    chunk_sums = stiefel._chunk_sums
+    raised_on = []
+
+    def failing(polys, count, seed, chunk_index, vals):
+        if chunk_index == failing_chunk:
+            raised_on.append(threading.current_thread())
+            raise MemoryError
+        return chunk_sums(polys, count, seed, chunk_index, vals)
+
+    monkeypatch.setattr(stiefel, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(stiefel, "_chunk_sums", failing)
+    before = threading.active_count()
+    code = cli.main(["integrate", "--m", "5", "--poly", "x1^2", "--mc-samples", "200000", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+    assert threading.active_count() == before
+    assert (raised_on[0] is threading.main_thread()) == (failing_chunk == 0)
 
 
 @pytest.mark.parametrize("m", [8, 32, 64])
