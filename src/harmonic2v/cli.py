@@ -49,7 +49,8 @@ MAX_LADDER_M = 12
 #: 106 MB at 32, and 38 s and 1.5 GB at 64; at 32 about nine tenths of the
 #: time is ``fischer._pi_ij``, which builds the Fischer layers through the
 #: extremal projection.  A Monte Carlo check loads numpy and adds a few blocks
-#: of frames: ``x1^2*u1^2 + x2^2*u3^2`` with 200,000 frames peaks at 58 MB at 64.
+#: of frames per worker: ``x1^2*u1^2 + x2^2*u3^2`` with 200,000 frames peaks at
+#: 49 MB at 64 with two workers, and 42 MB with one.
 MAX_M = 64
 
 

@@ -9,14 +9,15 @@ keeps alpha - beta of every monomial x^alpha u^beta, so only the layer's
 diagonal terms x^c u^c are carried through the chain.
 
 Floating point appears only in the Monte Carlo oracle; the Pizzetti paths are
-exact end to end.  numpy is imported only inside that oracle (``_haar_frames``,
-``_eval_on_frames`` and ``monte_carlo_many``, reached through ``--mc-samples``
-and ``stiefel_monte_carlo``), so the exact library never loads it.  The oracle
+exact end to end.  numpy is imported only inside that oracle's functions
+(``monte_carlo_many`` and its helpers, reached through ``--mc-samples`` and
+``stiefel_monte_carlo``), so the exact library never loads it.  The oracle
 splits its frames into chunks of 65,536, each with its own substream, and runs
-the chunks on one thread per usable CPU, at most one per chunk.  Each worker
-draws and evaluates its frames one block of 4,096 at a time, in place, into
-one chunk-length row of values per polynomial; only a call with more than 2m
-polynomials holds a whole chunk of frames per worker, and then one row.
+the chunks on at most ``_MC_MAX_WORKERS`` threads, no more than the usable
+CPUs or the chunks.  Each worker draws and evaluates its frames one block of
+4,096 at a time, in place, into one chunk-length row of values per
+polynomial; only a call with more than 2m polynomials holds a whole chunk of
+frames per worker, and then one row.
 """
 
 from __future__ import annotations
@@ -210,10 +211,16 @@ _MC_CHUNK = 1 << 16
 #: Frames drawn, orthonormalized and evaluated at a time: a chunk is handled in
 #: blocks of this many frames, so no array spans the chunk's 2m coordinate rows.
 _MC_BLOCK = 1 << 12
+#: Most Monte Carlo worker threads.  Each worker holds its own block workspace
+#: and value rows, so every worker adds its share to peak memory: at m = 8 with
+#: one polynomial, 1.55 MB per worker against a tested bound of 4.19 MB for the
+#: whole call.  Two is also the only count whose speed-up has been measured
+#: (on a 2-CPU x86_64 host).
+_MC_MAX_WORKERS = 2
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on, which bounds the Monte Carlo workers."""
+    """CPUs this process may run on, one bound on the Monte Carlo workers."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -230,7 +237,16 @@ def _row_norms(rows, products, norms) -> None:
     np.sqrt(norms, out=norms)
 
 
-def _haar_frames(m: int, count: int, seed: int, chunk_index: int):
+def _frame_workspace(m: int, count: int):
+    """Buffers for ``_haar_frames`` on chunks of at most ``count`` frames: the
+    draws, products and norms of one block, 3m + 1 doubles per frame."""
+    import numpy as np
+
+    size = min(_MC_BLOCK, count)
+    return np.empty((size, 2, m)), np.empty((size, m)), np.empty(size)
+
+
+def _haar_frames(m: int, count: int, seed: int, chunk_index: int, workspace):
     """Haar-distributed orthonormal 2-frames via Gaussian draws + Gram-Schmidt.
 
     Yields (start, omega, eta) for each block of at most ``_MC_BLOCK`` frames
@@ -240,17 +256,16 @@ def _haar_frames(m: int, count: int, seed: int, chunk_index: int):
     reproduces the sequential stream exactly.  The blocks are drawn in order,
     which gives the frames of drawing the chunk all at once; a degenerate draw
     (norm < 1e-12) is redrawn right after its block, not after the whole
-    chunk.  Every block is drawn and orthonormalized in place, in one
-    workspace of 3m + 1 doubles per frame allocated for the chunk, so the rows
-    yielded are views that the next block overwrites: evaluate them before
-    asking for it, or copy them.  Evaluating touches no generator state.
+    chunk.  Every block is drawn and orthonormalized in place, in
+    ``workspace`` (from ``_frame_workspace``), so the rows yielded are views
+    that the next block overwrites: evaluate them before asking for it, or
+    copy them.  Evaluating touches no generator state.
     """
     import numpy as np
 
     key = (np.uint64(seed), np.uint64(chunk_index))
     rng = np.random.Generator(np.random.Philox(key=key))
-    size = min(_MC_BLOCK, count)
-    draws, products, norms = np.empty((size, 2, m)), np.empty((size, m)), np.empty(size)
+    draws, products, norms = workspace
     for start in range(0, count, _MC_BLOCK):
         b = min(_MC_BLOCK, count - start)
         g, prod, norm = draws[:b], products[:b], norms[:b]
@@ -309,7 +324,7 @@ def _eval_on_frames(p: Polynomial, omega, eta, vals):
 
 
 def _chunk_sums(
-    polys: Sequence[Polynomial], count: int, seed: int, chunk_index: int, vals
+    polys: Sequence[Polynomial], count: int, seed: int, chunk_index: int, vals, workspace
 ) -> List[Tuple[float, float]]:
     """(sum, sum of squares) of each polynomial's real part over one chunk.
 
@@ -318,12 +333,13 @@ def _chunk_sums(
     exactly as if the chunk had been evaluated at once.  ``vals`` holds one
     row per polynomial, or a single row when there are more than 2m of them:
     then the chunk's frames are copied out block by block, the smaller of
-    the two, and the polynomials take the row one at a time.
+    the two, and the polynomials take the row one at a time.  The frames are
+    drawn in ``workspace``.
     """
     import numpy as np
 
     width = vals.shape[0]
-    blocks = _haar_frames(polys[0].m, count, seed, chunk_index)
+    blocks = _haar_frames(polys[0].m, count, seed, chunk_index, workspace)
     if width < len(polys):
         blocks = [(start, omega.copy(), eta.copy()) for start, omega, eta in blocks]
     out = []
@@ -344,12 +360,13 @@ def monte_carlo_many(
     """(estimate, stderr) of the real part of each polynomial, sharing one
     frame stream across all of them.
 
-    The chunks run on min(chunks, usable CPUs) threads, worker w taking
-    chunks w, w + workers, ...; numpy releases the interpreter lock in the
-    draws and the ufuncs.  Each worker allocates its value rows once and
-    returns each chunk's sums, which are added in chunk order, so the
-    estimates do not depend on the number of workers, the block size or the
-    number of polynomials.  One chunk or one CPU starts no thread.
+    The chunks run on min(chunks, usable CPUs, ``_MC_MAX_WORKERS``) threads,
+    worker w taking chunks w, w + workers, ...; numpy releases the
+    interpreter lock in the draws and the ufuncs.  Each worker allocates its
+    value rows once and returns each chunk's sums, which are added in chunk
+    order, so the estimates do not depend on the number of workers, the
+    block size or the number of polynomials.  One chunk or one CPU starts no
+    thread, and the cap keeps memory from growing with the CPU count.
     """
     import numpy as np
 
@@ -363,22 +380,29 @@ def monte_carlo_many(
     if any(q.m != m for q in polys):
         raise ValueError("all polynomials must share the ambient dimension")
     chunks = -(-n // _MC_CHUNK)
-    workers = min(chunks, _usable_cpus())
+    workers = min(chunks, _usable_cpus(), _MC_MAX_WORKERS)
     # Up to 2m polynomials keep one value row each and take the frames block by
     # block as drawn.  More than that hold the chunk's 2m coordinate rows
     # instead, the smaller of the two, and take the polynomials one at a time.
     width = len(polys) if len(polys) <= 2 * m else 1
     results: List[List[Tuple[float, float]]] = [[] for _ in range(chunks)]
     errors: List[BaseException] = []
+    # Each worker's value rows and workspace serve all its chunks, none longer
+    # than its first.  They are allocated here, on the calling thread: with
+    # glibc, a worker thread's own allocations come from a separate malloc
+    # arena, which stays resident after the call and added about 0.5 MB to the
+    # peak RSS of integrate_stiefel.
+    buffers = []
+    for w in range(workers):
+        first = min(_MC_CHUNK, n - w * _MC_CHUNK)
+        buffers.append((np.empty((width, first)), _frame_workspace(m, first)))
 
     def work(w):
         try:
-            # reused by this worker's chunks, none longer than its first
-            vals = np.empty((width, min(_MC_CHUNK, n - w * _MC_CHUNK)))
             for c in range(w, chunks, workers):
                 if errors:  # another worker failed, and its error is the one raised
                     return
-                results[c] = _chunk_sums(polys, min(_MC_CHUNK, n - c * _MC_CHUNK), seed, c, vals)
+                results[c] = _chunk_sums(polys, min(_MC_CHUNK, n - c * _MC_CHUNK), seed, c, *buffers[w])
         except BaseException as exc:  # re-raised below, on the calling thread
             errors.append(exc)
 

@@ -26,7 +26,14 @@ from harmonic2v import (
 from harmonic2v.fischer import _pi_ij
 from harmonic2v.operators import cross_dd, mul_inner_ux, mul_normsq_u, mul_normsq_x
 from harmonic2v.sampling import random_bihomogeneous, random_coefficient
-from harmonic2v.stiefel import _MC_BLOCK, _MC_CHUNK, _diagonal_terms, _haar_frames, _eval_on_frames
+from harmonic2v.stiefel import (
+    _MC_BLOCK,
+    _MC_CHUNK,
+    _diagonal_terms,
+    _eval_on_frames,
+    _frame_workspace,
+    _haar_frames,
+)
 from harmonic2v.transvector import chain
 
 from conftest import inner_ux, normsq_u, normsq_x, one, poly, random_polynomial
@@ -450,7 +457,7 @@ def test_monte_carlo_partition_invariance():
     for part in (plan[:1], plan[1:]):
         for chunk_index, count in part:
             vals = np.empty(count)
-            for start, omega, eta in _haar_frames(p.m, count, seed, chunk_index):
+            for start, omega, eta in _haar_frames(p.m, count, seed, chunk_index, _frame_workspace(p.m, count)):
                 assert omega.shape == eta.shape == (p.m, min(_MC_BLOCK, count - start))
                 _eval_on_frames(p, omega, eta, vals[start : start + omega.shape[1]])
             total += float(vals.sum())
@@ -492,6 +499,12 @@ def test_monte_carlo_with_more_than_2m_polynomials_matches_whole_chunk_oracle():
         assert monte_carlo_many(polys[:2], n, seed=n) == monte_carlo_many(polys, n, seed=n)[:2]
 
 
+def _force_workers(monkeypatch, workers):
+    # the worker count is min(chunks, usable CPUs, _MC_MAX_WORKERS)
+    monkeypatch.setattr(stiefel, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(stiefel, "_MC_MAX_WORKERS", workers)
+
+
 # one worker runs the chunks in order; two and three split 1, 2 or 4 chunks
 # unevenly, the last of them short, and switch threads every few microseconds
 @pytest.mark.parametrize("m", [5, 8, 9, 16])
@@ -503,7 +516,7 @@ def test_monte_carlo_bytes_do_not_depend_on_the_worker_count(m, monkeypatch):
         for n in (1, 4095, 65536, 65537, 200_000):
             got = []
             for workers in (1, 2, 3):
-                monkeypatch.setattr(stiefel, "_usable_cpus", lambda: workers)
+                _force_workers(monkeypatch, workers)
                 got.append(monte_carlo_many(polys, n, seed=n + m))
             assert got[0] == got[1] == got[2], n
     finally:
@@ -516,7 +529,7 @@ def test_monte_carlo_with_more_than_2m_polynomials_does_not_depend_on_the_worker
     n = 3 * 65536 + 4097
     got = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(stiefel, "_usable_cpus", lambda: workers)
+        _force_workers(monkeypatch, workers)
         got.append(monte_carlo_many(polys, n, seed=7))
     assert got[0] == got[1] == got[2] == monte_carlo_whole_chunks(polys, n, seed=7)
 
@@ -535,6 +548,33 @@ def test_monte_carlo_starts_no_thread_for_one_chunk_or_one_cpu(monkeypatch):
     assert monte_carlo_many([p], n, seed=3) == monte_carlo_whole_chunks([p], n, seed=3)
 
 
+def test_monte_carlo_workers_stop_at_the_cap(monkeypatch):
+    # each worker adds its own workspace and value rows to peak memory
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    monkeypatch.setattr(stiefel, "_usable_cpus", lambda: 64)
+    p = poly("x1^2*u2^2", 5)
+    n = 8 * _MC_CHUNK
+    assert monte_carlo_many([p], n, seed=3) == monte_carlo_whole_chunks([p], n, seed=3)
+    assert len(started) == stiefel._MC_MAX_WORKERS - 1
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(stiefel.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert stiefel._usable_cpus() == 3
+    monkeypatch.delattr(stiefel.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(stiefel.os, "cpu_count", lambda: 6)
+    assert stiefel._usable_cpus() == 6
+    monkeypatch.setattr(stiefel.os, "cpu_count", lambda: None)
+    assert stiefel._usable_cpus() == 1
+
+
 # worker w runs chunks w, w + workers, ...: chunk 0 runs on the calling thread
 # while the others are busy, chunks 1 and 2 on started threads
 @pytest.mark.parametrize("workers, failing_chunk", [(2, 1), (3, 2), (2, 0)])
@@ -543,13 +583,13 @@ def test_monte_carlo_worker_out_of_memory_is_one_cli_error(workers, failing_chun
     chunk_sums = stiefel._chunk_sums
     raised_on = []
 
-    def failing(polys, count, seed, chunk_index, vals):
+    def failing(polys, count, seed, chunk_index, *buffers):
         if chunk_index == failing_chunk:
             raised_on.append(threading.current_thread())
             raise MemoryError
-        return chunk_sums(polys, count, seed, chunk_index, vals)
+        return chunk_sums(polys, count, seed, chunk_index, *buffers)
 
-    monkeypatch.setattr(stiefel, "_usable_cpus", lambda: workers)
+    _force_workers(monkeypatch, workers)
     monkeypatch.setattr(stiefel, "_chunk_sums", failing)
     before = threading.active_count()
     code = cli.main(["integrate", "--m", "5", "--poly", "x1^2", "--mc-samples", "200000", "--seed", "1"])
