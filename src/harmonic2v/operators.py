@@ -10,9 +10,10 @@ Every atom is a sum over j = 1..m of one exponent shift on packed keys (see
 atom is a per-m table row of field offsets and key deltas for one of three
 kernels: ``_one_field`` (the Laplacians and skews), ``_two_fields``
 (<d_u, d_x>) and ``linear_combination``, which sums c_t Q_t p_t over parts
-whose Q_t is 1 or a quadric |x|^2, |u|^2, <u, x> into one term dict.  The
-three multiplications are its one-part calls; the transvector generators and
-the decomposition certificate are its many-part calls.
+whose Q_t is 1 or a quadric |x|^2, |u|^2, <u, x> into one term dict.  Every
+polynomial sum is a call of it: the three multiplications and unary minus
+with one part; ``Polynomial`` + and -, the generators, the sums over bidegree
+parts, the parser's sums and the decomposition certificate with many.
 """
 
 from __future__ import annotations
@@ -59,17 +60,20 @@ def linear_combination(m: int, parts: Iterable[Part]) -> Polynomial:
     "normsq_u" or "inner_ux" for |x|^2, |u|^2 or <u, x>, added to each key as
     the quadric's key deltas.  The sum keeps one running denominator and
     rescales the terms gathered so far, in place, when a part's denominator
-    does not divide it; it is normalized once, at the end.  Empty parts are
-    skipped, and ``parts`` is read once, so a generator can stream them.
+    does not divide it; it is normalized once, at the end.  Every part's
+    dimension is checked, then empty parts are skipped, and ``parts`` is read
+    once, so a generator can stream them.  The terms keep the order in which
+    their keys first appear, the first part's keys first, and a key that
+    cancels keeps its place until the end.
     """
     out: RawTerms = {}
     get = out.get
     den = 1
     for c, quadric, p in parts:
-        if not p._terms:
-            continue
         if p.m != m:
             raise DimensionMismatch(f"dimension mismatch: {m} vs {p.m}")
+        if not p._terms:
+            continue
         pd = c.denominator * p._den
         if den % pd:
             grown = den // gcd(den, pd) * pd

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import PolySyntaxError, VariableOutOfRange
+from .operators import linear_combination
 from .poly import Polynomial
 from .rationals import GAUSSIAN_I
 
@@ -71,24 +72,18 @@ class _Parser:
         return value
 
     def expression(self) -> Polynomial:
+        """A signed sum of terms, added in one kernel call."""
+        parts = []
         sign = 1
         ch = self.peek()
-        if ch in ("+", "-"):
-            self.pos += 1
-            sign = -1 if ch == "-" else 1
-        total = self.term()
-        if sign < 0:
-            total = -total
         while True:
+            if ch in ("+", "-"):
+                self.pos += 1
+                sign = -1 if ch == "-" else 1
+            parts.append((sign, None, self.term()))
             ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                total = total + self.term()
-            elif ch == "-":
-                self.pos += 1
-                total = total - self.term()
-            else:
-                return total
+            if ch not in ("+", "-"):
+                return linear_combination(self.m, parts)
 
     def check_degree(self, degree: int, what: str, at: int):
         if degree > MAX_DEGREE:

@@ -15,6 +15,9 @@ adding ``+-c << field_shift(...)``, and, since 256 = 1 (mod 255), a key's
 total degree is ``key % FIELD_MASK`` (its x- and u-degrees are that of its
 upper and lower halves).  Every operation that raises a degree checks the limit first
 and raises ``ExponentOutOfRange``.
+
+``+``, ``-`` and negation call the one accumulation kernel,
+``operators.linear_combination``; only the product accumulates its own terms here.
 """
 
 from __future__ import annotations
@@ -262,44 +265,19 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_same(self, other: "Polynomial"):
-        if self.m != other.m:
-            raise DimensionMismatch(f"dimension mismatch: {self.m} vs {other.m}")
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, 1)
+        return _operators.linear_combination(self.m, ((1, None, self), (1, None, other)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign * other in one pass over both term dicts."""
-        self._check_same(other)
-        d1, d2 = self._den, other._den
-        g = gcd(d1, d2)
-        f1, f2 = d2 // g, sign * (d1 // g)
-        out: RawTerms = (
-            {e: (a * f1, b * f1) for e, (a, b) in self._terms.items()}
-            if f1 != 1
-            else dict(self._terms)
-        )
-        for e, (a, b) in other._terms.items():
-            a *= f2
-            b *= f2
-            cur = out.get(e)
-            if cur is None:
-                out[e] = (a, b)
-            else:
-                out[e] = (cur[0] + a, cur[1] + b)
-        return Polynomial._packed(self.m, out, d1 * f1)
+        return _operators.linear_combination(self.m, ((1, None, self), (-1, None, other)))
 
     def __neg__(self) -> "Polynomial":
-        out = {e: (-a, -b) for e, (a, b) in self._terms.items()}
-        return Polynomial._packed(self.m, out, self._den)
+        return _operators.linear_combination(self.m, ((-1, None, self),))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            self._check_same(other)
+            if self.m != other.m:
+                raise DimensionMismatch(f"dimension mismatch: {self.m} vs {other.m}")
             # Q(i) has no zero divisors, so the product's degree is the sum.
             if self._terms and other._terms:
                 degree = self.total_degree() + other.total_degree()
@@ -422,3 +400,7 @@ def _grammar_text(a: int, b: int, den: int) -> str:
     if not a:
         return imag if b > 0 else "-" + imag
     return "(" + fraction_text(a, den) + ("+" if b > 0 else "-") + imag + ")"
+
+
+# Bound last, since ``operators`` imports this module; looked up at each call.
+from . import operators as _operators  # noqa: E402

@@ -300,7 +300,8 @@ def _eval_on_frames(p: Polynomial, omega, eta, vals):
 
     Each term starts from its first factor rather than from ones, and each
     power is raised into one reused scratch row: 1.0 * x == x, so the values
-    are those of the product of every power with a row of ones.
+    are those of the product of every power with a row of ones.  The terms
+    are added in the order of p's term dict, so the last bits depend on it.
     """
     import numpy as np
 
@@ -368,6 +369,8 @@ def monte_carlo_many(
     block size or the number of polynomials.  One chunk or one CPU starts no
     thread, and the cap keeps memory from growing with the CPU count.
     """
+    import threading
+
     import numpy as np
 
     if n < 1:
@@ -379,6 +382,8 @@ def monte_carlo_many(
     m = polys[0].m
     if any(q.m != m for q in polys):
         raise ValueError("all polynomials must share the ambient dimension")
+    if m < 2:
+        raise ValueError(f"V_2(R^m) has no orthonormal 2-frame for m < 2, got m={m}")
     chunks = -(-n // _MC_CHUNK)
     workers = min(chunks, _usable_cpus(), _MC_MAX_WORKERS)
     # Up to 2m polynomials keep one value row each and take the frames block by
@@ -406,17 +411,12 @@ def monte_carlo_many(
         except BaseException as exc:  # re-raised below, on the calling thread
             errors.append(exc)
 
-    if workers == 1:
-        work(0)
-    else:
-        import threading
-
-        threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
-        for thread in threads:
-            thread.start()
-        work(0)
-        for thread in threads:
-            thread.join()
+    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
     if errors:
         raise errors[0]
     out = []

@@ -96,13 +96,11 @@ def _pi_axis(part: Polynomial, axis: str) -> Polynomial:
 
 
 def _per_part(p: Polynomial, fn) -> Polynomial:
-    """fn on a bihomogeneous p as a whole, else the sum of fn over its bidegree parts."""
+    """fn on a bihomogeneous p as a whole, else the sum of fn over its bidegree
+    parts, whose images are streamed into one ``linear_combination`` call."""
     if p.bidegree() is not None:
         return fn(p)
-    total = Polynomial.zero(p.m)
-    for part in p.bidegree_split().values():
-        total = total + fn(part)
-    return total
+    return linear_combination(p.m, ((1, None, fn(part)) for part in p.bidegree_split().values()))
 
 
 def extremal_projection_x(p: Polynomial) -> Polynomial:

@@ -5,6 +5,7 @@ exponent tuples with ``GaussianRational`` coefficients, the representation
 the packed keys replaced; it shares no code with the key arithmetic.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from harmonic2v import operators
 from harmonic2v.operators import linear_combination
 from harmonic2v.parser import MAX_DEGREE
 from harmonic2v.poly import MAX_TERM_DEGREE
+from harmonic2v.transvector import _per_part
 
 from reference import partial
 
@@ -140,11 +142,13 @@ def quadric(m, name):
 
 
 def iterated_sum(m, parts):
-    """sum_t c_t Q_t p_t by ``*``, ``scaled`` and ``+``, one term at a time."""
-    total = Polynomial.zero(m)
+    """sum_t c_t Q_t p_t by ``*`` and ``scaled``, added per monomial through
+    ``terms()``: ``+`` is the kernel itself, so it is not used."""
+    total = {}
     for c, name, p in parts:
-        total = total + (p if name is None else quadric(m, name) * p).scaled(c)
-    return total
+        for mono, coeff in (p if name is None else quadric(m, name) * p).scaled(c).terms():
+            total[mono] = total.get(mono, GaussianRational()) + coeff
+    return Polynomial(m, total)
 
 
 def same_representation(got, want):
@@ -208,6 +212,86 @@ def test_linear_combination_of_nothing_is_zero():
 def test_linear_combination_rejects_another_dimension():
     with pytest.raises(DimensionMismatch):
         linear_combination(5, [(1, None, Polynomial.variable(6, "x", 1))])
+
+
+# -- sums through the kernel -----------------------------------------------------
+
+
+def ref_sum(*signed):
+    """sum of sign * p over (sign, p), one GaussianRational per monomial."""
+    out = {}
+    for sign, p in signed:
+        for e, c in ref_terms(p).items():
+            out[e] = out.get(e, GaussianRational()) + c * sign
+    return {e: c for e, c in out.items() if c}
+
+
+def is_zero_representation(p):
+    return p._terms == {} and p._den == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 5, 8]).flatmap(lambda m: st.tuples(polys(m), polys(m))))
+def test_sum_difference_and_negation_match_reference(pq):
+    # mixed bidegrees, and numerators over denominators 1..4 in each part
+    p, q = pq
+    assert ref_terms(p + q) == ref_sum((1, p), (1, q))
+    assert ref_terms(p - q) == ref_sum((1, p), (-1, q))
+    assert ref_terms(q - p) == ref_sum((1, q), (-1, p))
+    assert ref_terms(-p) == ref_sum((-1, p))
+    for got in (p + q, p - q):  # p's keys, then q's new keys, without the zeros
+        assert list(got._terms) == [k for k in dict.fromkeys([*p._terms, *q._terms]) if k in got._terms]
+    for zero in (p - p, p + (-p), -p + p, (p + q) - q - p):
+        assert is_zero_representation(zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.sampled_from(sorted(ref_rules(1))))
+def test_per_part_sum_matches_reference(p, name):
+    # an atom is linear, so its sum over the bidegree parts is its image of p
+    got = _per_part(p, getattr(operators, name))
+    assert ref_terms(got) == ref_apply(ref_terms(p), ref_rules(p.m)[name])
+
+
+def test_per_part_sum_cancels_to_the_zero_polynomial():
+    m = 5
+    p = Polynomial(m, {Monomial((1, 0, 0, 0, 0), (0,) * 5): Fraction(1, 2), Monomial((0,) * 5, (0, 0, 3, 0, 0)): 1})
+    third = {(1, 0): Fraction(1, 3), (0, 3): Fraction(-1, 3)}
+    assert is_zero_representation(_per_part(p, lambda q: Polynomial.constant(m, third[q.bidegree()])))
+
+
+def test_sum_keeps_the_first_operands_keys_then_the_seconds_new_keys():
+    # stiefel._eval_on_frames adds a polynomial's terms in this order, so the
+    # last bits of a Monte Carlo estimate depend on it
+    m = 2
+    x1, x2, u1, u2, x1u1 = (
+        Monomial(xe, ue)
+        for xe, ue in (((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (1, 0)))
+    )
+    p = Polynomial(m, {x2: 1, x1: Fraction(1, 2), u1: GaussianRational(0, 1)})
+    q = Polynomial(m, {u2: 1, x1: Fraction(-1, 2), x2: Fraction(1, 3), x1u1: 2})
+    keys = lambda *monos: [mono.key() for mono in monos]
+    assert list(p._terms) == keys(x2, x1, u1)
+    assert list((p + q)._terms) == keys(x2, u1, u2, x1u1)
+    assert list((q + p)._terms) == keys(u2, x2, x1u1, u1)
+    assert list((p - q)._terms) == keys(x2, x1, u1, u2, x1u1)
+    assert list((-q)._terms) == keys(u2, x1, x2, x1u1)
+
+
+def test_parsed_long_sum_matches_per_term_reference():
+    m = 3
+    rnd = random.Random(27)
+    pieces, want = [], {}
+    for _ in range(3000):
+        e = tuple(rnd.randint(0, 2) for _ in range(2 * m))
+        c = Fraction(rnd.randint(1, 9), rnd.randint(1, 6)) * rnd.choice((1, -1))
+        mono = "*".join(f"{v}{i % m + 1}^{k}" for i, (v, k) in enumerate(zip("xxxuuu", e)))
+        pieces.append(f"{'-' if c < 0 else '+'} {abs(c)}*{mono}")
+        want[e] = want.get(e, GaussianRational()) + c
+    pieces += ["+ 5/7*x1*u2", "- 5/7*x1*u2"]  # a sum that cancels exactly
+    got = parse_poly(" ".join(pieces), m)
+    assert len(want) < 3000  # monomials repeat, so terms are combined
+    assert ref_terms(got) == {e: c for e, c in want.items() if c}
 
 
 # -- limits --------------------------------------------------------------------

@@ -65,6 +65,14 @@ def test_bidegree_split_examples():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         poly("x1", 5) + poly("x1", 6)
+    # a zero operand is checked too, on either side of + and -
+    for a, b in ((poly("x1", 5), Polynomial.zero(6)), (Polynomial.zero(6), poly("x1", 5))):
+        with pytest.raises(DimensionMismatch):
+            a + b
+        with pytest.raises(DimensionMismatch):
+            a - b
+    with pytest.raises(DimensionMismatch):
+        Polynomial.zero(5) + Polynomial.zero(6)
     with pytest.raises(DimensionMismatch):
         poly("x1", 5) * poly("x1", 6)
     with pytest.raises(DimensionMismatch):

@@ -416,6 +416,21 @@ def test_monte_carlo_constant_is_exact():
     assert est == 1.0 and err == 0.0
 
 
+def test_monte_carlo_needs_a_dimension_with_2_frames(monkeypatch):
+    # V_2(R^1) has no orthonormal 2-frame, so a redraw of the second vector
+    # could never end: the call must fail before it draws anything
+    def no_draw(*args):
+        raise AssertionError("frames were drawn")
+
+    for m in (2, 4):
+        assert stiefel_monte_carlo(one(m), 10, 0) == (1.0, 0.0)
+    monkeypatch.setattr(stiefel, "_haar_frames", no_draw)
+    with pytest.raises(ValueError, match="m=1"):
+        stiefel_monte_carlo(one(1), 10, 0)
+    with pytest.raises(ValueError, match="m=1"):
+        monte_carlo_many([one(1), poly("x1^2", 1)], 3 * _MC_CHUNK, 0)
+
+
 def test_monte_carlo_inner_product_is_tiny():
     est, err = stiefel_monte_carlo(inner_ux(5), 1000, seed=1)
     assert abs(est) < 1e-12
