@@ -266,9 +266,13 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return _operators.linear_combination(self.m, ((1, None, self), (1, None, other)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return _operators.linear_combination(self.m, ((1, None, self), (-1, None, other)))
 
     def __neg__(self) -> "Polynomial":

@@ -132,7 +132,7 @@ def _gen_s_x(part: Polynomial) -> Polynomial:
     m = part.m
     dx = _skew_den(part.bidegree()[0], m)
     return linear_combination(
-        m, ((1, None, skew_xu(part)), (Fraction(-1, dx), "normsq_x", cross_dd(part)))
+        m, ((1, "skew_xu", part), (Fraction(-1, dx), "normsq_x", cross_dd(part)))
     )
 
 
@@ -141,7 +141,7 @@ def _gen_s_u(part: Polynomial) -> Polynomial:
     m = part.m
     du = _skew_den(part.bidegree()[1], m)
     return linear_combination(
-        m, ((1, None, skew_ux(part)), (Fraction(-1, du), "normsq_u", cross_dd(part)))
+        m, ((1, "skew_ux", part), (Fraction(-1, du), "normsq_u", cross_dd(part)))
     )
 
 

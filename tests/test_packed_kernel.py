@@ -127,6 +127,8 @@ def test_degrees_split_and_order_match_reference(p):
 # -- the accumulation kernel -----------------------------------------------------
 
 QUADRICS = (None, "normsq_x", "normsq_u", "inner_ux")
+DERIVATIVES = ("laplacian_x", "laplacian_u", "cross_dd", "skew_ux", "skew_xu")
+ATOMS = QUADRICS + DERIVATIVES
 
 
 def quadric(m, name):
@@ -141,14 +143,26 @@ def quadric(m, name):
     return Polynomial(m, {mono: 1 for mono in monos})
 
 
+def ref_image(m, name, p):
+    """Q p per exponent tuple for Q one of ``ATOMS``: a quadric by ``*``, a
+    derivative by its per-monomial rule, never through the kernel."""
+    if name in DERIVATIVES:
+        return ref_apply(ref_terms(p), ref_rules(m)[name])
+    return ref_terms(p if name is None else quadric(m, name) * p)
+
+
+def from_ref(m, terms):
+    return Polynomial(m, {Monomial(e[:m], e[m:]): c for e, c in terms.items()})
+
+
 def iterated_sum(m, parts):
-    """sum_t c_t Q_t p_t by ``*`` and ``scaled``, added per monomial through
-    ``terms()``: ``+`` is the kernel itself, so it is not used."""
+    """sum_t c_t Q_t p_t, added per monomial: ``+`` is the kernel itself, so
+    it is not used."""
     total = {}
     for c, name, p in parts:
-        for mono, coeff in (p if name is None else quadric(m, name) * p).scaled(c).terms():
-            total[mono] = total.get(mono, GaussianRational()) + coeff
-    return Polynomial(m, total)
+        for e, coeff in ref_image(m, name, p).items():
+            total[e] = total.get(e, GaussianRational()) + coeff * c
+    return from_ref(m, total)
 
 
 def same_representation(got, want):
@@ -161,11 +175,11 @@ def combinations(draw):
     coeff = st.one_of(
         st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
     )
-    parts = draw(st.lists(st.tuples(coeff, st.sampled_from(QUADRICS), polys(m)), max_size=5))
+    parts = draw(st.lists(st.tuples(coeff, st.sampled_from(ATOMS), polys(m)), max_size=5))
     return m, parts
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(combinations())
 def test_linear_combination_matches_iterated_sums(case):
     m, parts = case
@@ -192,14 +206,35 @@ def test_linear_combination_rescales_to_each_new_denominator():
     assert same_representation(got, parse_poly(text, m))
 
 
+def test_derivative_parts_scale_their_factors_after_a_rescale():
+    m = 2
+    parts = [
+        (Fraction(1, 3), None, parse_poly("x1", m)),
+        # 28 does not divide 3: rescaled to 84, then the skew's factors times -15
+        (Fraction(-5, 4), "skew_xu", parse_poly("(1/7-2/7*i)*x1*u1^2 + 2*u1*u2", m)),
+        # 30 does not divide 84: rescaled to 420, then <d_u, d_x>'s factors times -98
+        (Fraction(-7, 6), "cross_dd", parse_poly("1/5*x1^2*u1^3 + 3*x2*u2", m)),
+    ]
+    got = linear_combination(m, parts)
+    assert same_representation(got, iterated_sum(m, parts))
+    text = "(-5/14+5/7*i)*x1^2*u1 - 7/5*x1*u1^2 - 5/2*x1*u2 - 5/2*x2*u1 + 1/3*x1 - 7/2"
+    assert same_representation(got, parse_poly(text, m))
+    assert got._den == 210
+
+
 def test_linear_combination_cancels_to_the_zero_polynomial():
     m = 5
     coeff = GaussianRational(Fraction(3, 4), Fraction(-1, 6))
-    p = Polynomial(m, {Monomial((1, 0, 2, 0, 0), (0, 1, 0, 0, 0)): coeff})
-    for name in QUADRICS:
-        product = p if name is None else quadric(m, name) * p
-        got = linear_combination(m, ((Fraction(2, 3), name, p), (Fraction(-2, 3), None, product)))
+    p = Polynomial(m, {Monomial((1, 0, 2, 0, 0), (1, 2, 0, 0, 0)): coeff})
+    for name in ATOMS:
+        image = from_ref(m, ref_image(m, name, p))
+        assert not image.is_zero(), name
+        got = linear_combination(m, ((Fraction(2, 3), name, p), (Fraction(-2, 3), None, image)))
         assert got._terms == {} and got._den == 1
+    # two derivative parts: <u, d_x> x1^2 = 2 x1 u1 = <x, d_u> u1^2
+    parts = [(Fraction(-1, 3), "skew_ux", parse_poly("x1^2", m)), (Fraction(1, 3), "skew_xu", parse_poly("u1^2", m))]
+    got = linear_combination(m, parts)
+    assert got._terms == {} and got._den == 1
 
 
 def test_linear_combination_of_nothing_is_zero():
@@ -364,3 +399,13 @@ def test_linear_combination_checks_each_quadric_part_at_the_limit(name):
     assert linear_combination(m, [(1, None, top), (1, name, low)]).total_degree() == 126
     with pytest.raises(ExponentOutOfRange):
         linear_combination(m, [(1, name, low), (Fraction(1, 3), name, top)])
+
+
+@pytest.mark.parametrize("name", DERIVATIVES)
+def test_linear_combination_applies_derivative_parts_at_the_limit(name):
+    # a derivative keeps or lowers every degree, so a part of degree 127 passes
+    m = 5
+    top = mono(m, [MAX_TERM_DEGREE - 2], [2])
+    parts = [(Fraction(-1, 3), name, top)]
+    got = linear_combination(m, parts)
+    assert not got.is_zero() and same_representation(got, iterated_sum(m, parts))

@@ -79,6 +79,19 @@ def test_dimension_mismatch():
         Polynomial(0)
 
 
+def test_sum_with_a_non_polynomial_is_a_type_error():
+    p = poly("x1", 5)
+    for other in (1, "x"):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            p + other
+        with pytest.raises(TypeError, match="unsupported operand"):
+            p - other
+    with pytest.raises(TypeError, match="unsupported operand"):
+        1 + p
+    with pytest.raises(DimensionMismatch):
+        p + Polynomial.zero(6)
+
+
 def test_monomial_ordering_and_str():
     a = Monomial((2, 0, 0, 0, 0), (0, 0, 0, 0, 0))
     b = Monomial((1, 0, 0, 0, 0), (1, 0, 0, 0, 0))

@@ -41,6 +41,7 @@ from reference import (
     FRAMES_PER_CHUNK,
     a_c_power_closed_form,
     gamma_closed_form,
+    haar_frames_whole_chunk,
     monte_carlo_whole_chunks,
     stiefel_fibration_integral,
     stiefel_full_chain_integral,
@@ -482,6 +483,39 @@ def test_monte_carlo_partition_invariance():
     mean = total / n
     err = math.sqrt(max(sq / n - mean * mean, 0.0) / n)
     assert mean == seq_est and err == seq_err
+
+
+def test_haar_frames_redraw_a_zero_omega_and_a_v_parallel_to_omega(monkeypatch):
+    # the first draw of each substream gets omega = 0 in frame 0 and
+    # omega = e_1, v = 3 e_1 in frame 1, so both redraw loops run once
+    m, count, seed, chunk_index = 5, 8, 11, 2
+    real = np.random.Generator
+    shapes = []
+
+    class Injected:
+        def __init__(self, bit_generator):
+            self.rng = real(bit_generator)
+            self.shapes = []
+            shapes.append(self.shapes)
+
+        def standard_normal(self, size=None, out=None):
+            g = self.rng.standard_normal(size, out=out)
+            if not self.shapes:
+                g[0, 0] = 0.0
+                g[1, 0] = np.eye(m)[0]
+                g[1, 1] = 3.0 * g[1, 0]
+            self.shapes.append(g.shape)
+            return g
+
+    monkeypatch.setattr(np.random, "Generator", Injected)
+    omega, eta = np.empty((count, m)), np.empty((count, m))
+    for start, o, e in _haar_frames(m, count, seed, chunk_index, _frame_workspace(m, count)):
+        omega[start : start + o.shape[1]], eta[start : start + o.shape[1]] = o.T, e.T
+    want = haar_frames_whole_chunk(m, count, seed, chunk_index)
+    assert shapes == [[(count, 2, m), (1, m), (1, m)]] * 2
+    gram = np.stack([(omega * omega).sum(axis=1), (eta * eta).sum(axis=1), (omega * eta).sum(axis=1)])
+    assert np.abs(gram - [[1.0], [1.0], [0.0]]).max() < 1e-12
+    assert np.array_equal(omega, want[0]) and np.array_equal(eta, want[1])
 
 
 def _mc_polys(m):
