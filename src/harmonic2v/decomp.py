@@ -31,8 +31,10 @@ from math import factorial
 from typing import Dict, List, Tuple
 
 from .errors import IndexOutOfRange, ZeroNormalizer
-from .fischer import double_fischer, fischer_inner_product, mul_norm_powers
-from .operators import cross_dd, laplacian_u, laplacian_x, linear_combination, skew_ux, skew_xu
+from .fischer import double_fischer, fischer_inner_product
+from .operators import (
+    cross_dd, laplacian_u, laplacian_x, linear_combination, mul_normsq_u, mul_normsq_x, skew_ux, skew_xu,
+)
 from .poly import Polynomial
 from .rationals import GAUSSIAN_I, falling, rising
 from .transvector import (
@@ -243,8 +245,7 @@ def _master_projection_dominant(grid: dict, i: int, j: int) -> Polynomial:
         return grid_power(grid, i + p, j + q, _A, _S_X).scaled(weight)
 
     inner = [nested_sum(_S_U, [term(p, q) for q in range(l - p + 1)]) for p in range(l + 1)]
-    total = nested_sum(_C, inner)
-    return Polynomial.zero(m) if total is None else total
+    return nested_sum(_C, inner)
 
 
 def _orient(p: Polynomial) -> Tuple[Polynomial, bool]:
@@ -332,7 +333,8 @@ class DecompositionEntry:
     component: SimplicialComponent
 
     def embedded(self) -> Polynomial:
-        return mul_norm_powers(self.component.embedded(), self.a, self.b)
+        """|x|^{2a} |u|^{2b} times the embedded component, by one ``chain`` of norm steps."""
+        return chain(self.component.embedded(), (mul_normsq_u,) * self.b + (mul_normsq_x,) * self.a)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,10 @@ from math import factorial
 from typing import List, Sequence
 
 from .errors import DimensionMismatch
-from .operators import laplacian_u, laplacian_x, mul_normsq_u, mul_normsq_x
+from .operators import laplacian_u, laplacian_x
 from .poly import Polynomial, exponents
 from .rationals import GaussianRational, rising
 from .transvector import chain, extremal_projection_s
-
-
-def mul_norm_powers(p: Polynomial, a: int, b: int) -> Polynomial:
-    """|x|^{2a} |u|^{2b} p."""
-    return chain(p, (mul_normsq_u,) * b + (mul_normsq_x,) * a)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
-
-Rationalish = Union[int, Fraction]
 
 
 @dataclass(frozen=True, eq=False)

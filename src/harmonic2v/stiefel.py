@@ -29,8 +29,8 @@ from math import factorial, sqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .decomp import ladder_alpha
-from .fischer import _layer_scale, _pi_ij, mul_norm_powers
-from .operators import cross_dd, laplacian_x, mul_inner_ux
+from .fischer import _layer_scale, _pi_ij
+from .operators import cross_dd, laplacian_x, mul_inner_ux, mul_normsq_u, mul_normsq_x
 from .poly import FIELD_BITS, Polynomial, exponents
 from .rationals import GaussianRational, rising
 from .transvector import _require_theory_dimension, chain, nested_sum
@@ -97,15 +97,16 @@ def c_power_one(beta: int, m: int) -> Polynomial:
     Equals the creation generator iterated beta times on the constant 1; the
     leading <u,x>^beta term is monic and odd beta has no constant term.  The
     series sum_n c_n |x|^{beta-n} |u|^{beta-n} <u,x>^n is summed in nested
-    form, so <u,x> multiplies the running sum beta times in all.
+    form, so <u,x> multiplies the running sum beta times in all; an n without
+    a Gegenbauer term (n - beta odd) has the zero polynomial as coefficient.
     """
     _require_theory_dimension(m)
     if beta < 0:
         raise ValueError("power must be non-negative")
-    coeffs: List[Optional[Polynomial]] = [None] * (beta + 1)
+    coeffs = [Polynomial.zero(m)] * (beta + 1)
     for n, c in _zonal_coefficients(beta, m).items():
         j = (beta - n) // 2
-        coeffs[n] = mul_norm_powers(Polynomial.constant(m, c), j, j)
+        coeffs[n] = chain(Polynomial.constant(m, c), (mul_normsq_u,) * j + (mul_normsq_x,) * j)
     return nested_sum(mul_inner_ux, coeffs)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .errors import NotDoubleHarmonic
 from .operators import (
@@ -51,19 +51,6 @@ def _check_double_harmonic(p: Polynomial):
 # -- extremal projections ------------------------------------------------------
 
 
-def _axis(axis: str):
-    """(Laplacian, |v|^2 multiplier, bidegree slot) of the vector variable v = x or u.
-
-    The functions are looked up when called, so rebinding a module name (as a
-    tracer does) reaches every caller.
-    """
-    if axis == "x":
-        return laplacian_x, mul_normsq_x, 0
-    if axis == "u":
-        return laplacian_u, mul_normsq_u, 1
-    raise ValueError(f"axis must be 'x' or 'u', got {axis!r}")
-
-
 def _h_x(k: int, m: int) -> Fraction:
     """H_v = -(k + m/2) on polynomials of degree k in v (= x or u)."""
     return -(Fraction(k) + Fraction(m, 2))
@@ -78,10 +65,12 @@ def _pi_axis(part: Polynomial, axis: str) -> Polynomial:
     at the part's own degree since each term is degree-neutral.  It is summed
     in nested form, part + |v|^2 (c_1 Delta_v part + |v|^2 (c_2 Delta_v^2 part
     + ...)), so |v|^2 multiplies the running sum once per term after the first.
+    The operators are looked up by module name at each call, so rebinding
+    those names (as a tracer does) reaches this series too.
     """
     if part.is_zero():
         return part
-    lap, mul_normsq, slot = _axis(axis)
+    lap, mul_normsq, slot = (laplacian_x, mul_normsq_x, 0) if axis == "x" else (laplacian_u, mul_normsq_u, 1)
     h = _h_x(part.bidegree()[slot], part.m)
     terms = [part]
     coeff = Fraction(1)
@@ -91,8 +80,7 @@ def _pi_axis(part: Polynomial, axis: str) -> Polynomial:
         coeff /= 4 * j * (h + 1 + j)
         terms.append(q.scaled(coeff))
         q = lap(q)
-    total = nested_sum(mul_normsq, terms)
-    return Polynomial.zero(part.m) if total is None else total
+    return nested_sum(mul_normsq, terms)
 
 
 def _per_part(p: Polynomial, fn) -> Polynomial:
@@ -185,24 +173,20 @@ def chain(p: Polynomial, steps: Sequence) -> Polynomial:
     return p
 
 
-def nested_sum(step, coeffs: Sequence[Optional[Polynomial]]) -> Optional[Polynomial]:
+def nested_sum(step, coeffs: Sequence[Polynomial]) -> Polynomial:
     """Horner form of sum_n step^n coeffs[n]: acc <- step(acc) + coeffs[n], n descending.
 
-    ``step`` is a linear atom function or a ``GeneratorTag``, applied through
-    ``chain`` once per index below the highest present coefficient, to the
-    running sum rather than to each term; a generator acts on each bidegree
-    part of that sum.  ``None`` marks an absent coefficient and is returned
-    when no term survives; a sum that cancels in its last addition comes back
-    as the zero polynomial.
+    ``coeffs`` is a non-empty sequence of polynomials over one m; a zero one is
+    absent.  ``step`` is a linear atom function or a ``GeneratorTag``, applied
+    through ``chain`` to the running sum rather than to each term, and not at
+    all while that sum is zero; a generator acts on each bidegree part of the
+    sum.  An empty or cancelling sum is a zero polynomial over the same m.
     """
-    acc = None
-    for c in reversed(coeffs):
-        if acc is not None:
-            acc = chain(acc, (step,))
-            if acc.is_zero():
-                acc = None
-        if c is not None and not c.is_zero():
-            acc = c if acc is None else acc + c
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = chain(acc, (step,))
+        if not c.is_zero():
+            acc = c if acc.is_zero() else acc + c
     return acc
 
 

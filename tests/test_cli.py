@@ -577,6 +577,27 @@ def test_cli_decompose_long_packed_coefficients_still_print(fmt, capsys):
         assert out.endswith("reconstruction: exact\n") and f"1/{d}*x1*u2" in out
 
 
+def test_cli_decompose_without_a_digit_limit_prints_every_coefficient(monkeypatch, capsys):
+    # 4,400 digits: above the default limit of 4,300, so only a lifted limit parses it
+    text = f"{'9' * 4400}*x1*u1"
+    argv = ["decompose", "--m", "5", "--poly", text]
+    short = []
+    original = cli._short_coefficients
+    monkeypatch.setattr(cli, "_short_coefficients", lambda polys: short.append(original(polys)) or short[-1])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert main(argv) == 0
+        expected = decomposition_json(decompose_full(parse_poly(text, 5)), "exact") + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert short == [True]
+    assert capsys.readouterr().out == expected
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("samples", ["0", "-3", str(cli.MAX_MC_SAMPLES + 1), str(10**11)])
 def test_cli_rejects_out_of_range_mc_samples(samples, capsys):
     with pytest.raises(SystemExit) as err:

@@ -162,25 +162,40 @@ def test_pi_axis_multiplies_by_the_norm_once_per_term(axis, monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from([mul_inner_ux, mul_normsq_x, laplacian_u, GeneratorTag.C]),
-    st.lists(st.sampled_from(["none", "zero", "poly"]), min_size=0, max_size=5),
+    st.lists(st.booleans(), min_size=1, max_size=5),
     st.integers(0, 2**32 - 1),
 )
-def test_nested_sum_matches_the_direct_sum(step, kinds, seed):
+def test_nested_sum_matches_the_direct_sum(step, nonzero, seed):
     rng = random.Random(seed)
     m = 5
-    coeffs = [
-        None if kind == "none" else Polynomial.zero(m) if kind == "zero" else random_polynomial(m, 2, 2, rng)
-        for kind in kinds
-    ]
+    coeffs = [random_polynomial(m, 2, 2, rng) if keep else Polynomial.zero(m) for keep in nonzero]
     direct = Polynomial.zero(m)
     for n, c in enumerate(coeffs):
-        if c is not None:
-            direct = direct + chain(c, (step,) * n)
-    got = nested_sum(step, coeffs)
-    if got is None:
-        assert direct.is_zero()
-    else:
-        assert got == direct
+        direct = direct + chain(c, (step,) * n)
+    assert nested_sum(step, coeffs) == direct
+
+
+def test_nested_sum_of_zero_coefficients_is_zero_over_the_same_m():
+    for m in (5, 7):
+        got = nested_sum(mul_inner_ux, [Polynomial.zero(m)] * 3)
+        assert got.is_zero() and got.m == m
+
+
+def test_nested_sum_cancelling_in_its_last_addition_is_zero():
+    m = 5
+    # laplacian_x(2*x1^2) = 4 cancels the constant -4
+    got = nested_sum(laplacian_x, [Polynomial.constant(m, -4), poly("2*x1^2", m)])
+    assert got.is_zero() and got.m == m
+
+
+def test_nested_sum_never_steps_a_zero_running_sum():
+    m = 5
+    p = poly("x1*u2 - 3*u1", m)
+
+    def never(q):
+        raise AssertionError("step applied to a zero running sum")
+
+    assert nested_sum(never, [p, Polynomial.zero(m), Polynomial.zero(m)]) is p
 
 
 def test_generator_examples():
